@@ -33,10 +33,9 @@ from .indeterminacy import (Bounds, Certificate, DecisionResult, PhiGen,
                             replay)
 from .linking import (Knot, LinkTrace, SphereData, Trace, compose, connect_sum,
                       invert_trace, lambda_absolute, lambda_link, lambda_sphere,
-                      lambda_sphere_combo, lambda_sphere_reduced, mu_absolute,
-                      mu_pi, mu_trace, realize_trace, rebase,
-                      sphere_for_unlink_complement, sphere_pairing_context,
-                      translate_points)
+                      lambda_sphere_combo, mu_absolute, mu_pi, mu_trace,
+                      realize_trace, rebase, sphere_for_unlink_complement,
+                      sphere_pairing_context, translate_points)
 from .scenario import Scenario, execute_query, parse_scenario, print_scenario
 from .separators import (LatticeQuotient, PushedContext, Separator,
                          abelianization, cyclic_separator,

@@ -41,8 +41,6 @@ def _build_parser():
     p.add_argument("--support-len", type=int, default=I.Bounds.support_len,
                    help="letter cap per class key during the search")
     p.add_argument("--json", action="store_true", help="structured JSON report")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized property commands (reserved)")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 if any verdict is Unknown")
     p.add_argument("--strict-sign", action="store_true",

@@ -110,7 +110,11 @@ def free_product(*factors: GroupSpec) -> GroupSpec:
 
 
 def _norm_run(sylls):
-    """Freely reduce a syllable list (merge equal neighbours, drop zeros)."""
+    """Freely reduce a syllable list (merge equal neighbours, drop zeros).
+
+    out is a stack that never holds equal neighbours: a cancellation pops
+    the top, and the next syllable is merged against the new top, so
+    e.g. x y y^-1 x reduces to x^2 in one pass."""
     out = []
     for i, e in sylls:
         if e == 0:
@@ -122,16 +126,6 @@ def _norm_run(sylls):
                 out.append((i, e2))
         else:
             out.append((i, e))
-    # merging can expose new neighbours, e.g. x y y^-1 x
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(out) - 1):
-            if out[j][0] == out[j + 1][0]:
-                e2 = out[j][1] + out[j + 1][1]
-                out[j:j + 2] = [(out[j][0], e2)] if e2 else []
-                changed = True
-                break
     return out
 
 

@@ -1,13 +1,18 @@
-"""The indeterminacy group of a knot and the certified equality decision.
+"""The indeterminacy group of a knot or a 2-component link, and the
+certified equality decision.
 
-A relative self-linking value is well defined only up to an affine action
-of an indeterminacy group Phi on the relative coset ring: generators
-(z, phi) act by y -> z + phi y phi^-1, with an outer conjugation by the
-centralizer of the knot class.  Phi is presented by toroidal generators
-(one per centralizer generator, read off a self-trace) and by sphere
-pairing data whose group translates form a symbolic infinite family.
+A relative self-linking value of a knot is well defined only up to an
+affine action of an indeterminacy group Phi on the relative coset ring:
+generators (z, phi) act by y -> z + phi y phi^-1, with an outer conjugation
+by the centralizer of the knot class.  The linking number of a 2-component
+link is taken modulo pairs (z, (phi, psi)) acting by y -> z + phi y psi^-1,
+with an outer biaction by both centralizers.  Phi is presented by toroidal
+generators (one per centralizer generator, read off a self-trace or a link
+trace) and by sphere pairing data whose group translates, t.sigma on the
+left or sigma.t on the right, form a symbolic infinite family.
 
-decide_equal answers whether two values agree modulo this action:
+decide_equal answers whether two values agree modulo this action, with one
+pipeline for knots and links (decide_equal_link is an alias):
 
   * Equal only with a certificate that replays to an exact ring equality;
   * Distinct only via a true invariant of the unbounded action (an exact
@@ -15,19 +20,22 @@ decide_equal answers whether two values agree modulo this action:
     or a homomorphic separator);
   * Unknown otherwise, reporting the bounds exhausted.
 
-The two-sided variants mirror this for 2-component links, where pairs
-(z, (phi, psi)) act by y -> z + phi y psi^-1.
+An outer conjugator is a tuple: (alpha,) conjugates a knot value, (alpha,
+beta) biacts a link value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass, field, replace
 
 from . import cosets as R
 from . import groups as G
 from . import linking as L
 from . import separators as S
-from .errors import LatitudeMismatch, NotSelfTrace, SpecMismatch
+from .errors import (InvariantViolation, LatitudeMismatch, NotSelfTrace,
+                     SpecMismatch)
 
 # ---------------------------------------------------------------------------
 # bounds and generators
@@ -51,6 +59,10 @@ class PhiGen:
     phi: G.GroupElement
     provenance: str = ""
 
+    @property
+    def parts(self):
+        return (self.phi,)
+
     def inverse(self) -> "PhiGen":
         phi_inv = G.invert(self.phi)
         return PhiGen(R.negate(R.conj_act(phi_inv, self.z)), phi_inv,
@@ -64,6 +76,15 @@ class PhiLinkGen:
     psi: G.GroupElement
     provenance: str = ""
 
+    @property
+    def parts(self):
+        return (self.phi, self.psi)
+
+
+def _gen(z, parts, provenance):
+    """The generator (z, parts) of the shape that the number of parts gives."""
+    return (PhiGen if len(parts) == 1 else PhiLinkGen)(z, *parts, provenance)
+
 
 @dataclass(frozen=True)
 class PhiGroup:
@@ -72,6 +93,16 @@ class PhiGroup:
     zeta_gens: tuple[G.GroupElement, ...]
     toroidal: tuple[PhiGen, ...]
     spheres: tuple[L.SphereData, ...]
+
+    @property
+    def zetas(self):
+        """Centralizer generators per outer factor."""
+        return (self.zeta_gens,)
+
+    @property
+    def sided_spheres(self):
+        """(sphere, right) per family; a knot's translate on the left."""
+        return tuple((s, False) for s in self.spheres)
 
 
 @dataclass(frozen=True)
@@ -84,6 +115,17 @@ class PhiLinkGroup:
     toroidal: tuple[PhiLinkGen, ...]
     spheres_left: tuple[L.SphereData, ...]   # translated as g.sigma on the left
     spheres_right: tuple[L.SphereData, ...]  # translated as sigma.g on the right
+
+    @property
+    def zetas(self):
+        """Centralizer generators per outer factor."""
+        return (self.zeta1, self.zeta2)
+
+    @property
+    def sided_spheres(self):
+        """(sphere, right) per family, the left families first."""
+        return (tuple((s, False) for s in self.spheres_left)
+                + tuple((s, True) for s in self.spheres_right))
 
 
 def build_phi(k: L.Knot, toroidal, spheres=(), zeta_gens=None) -> PhiGroup:
@@ -125,7 +167,7 @@ def phi_conjugation_only(k: L.Knot, zeta_gens=None) -> PhiGroup:
 def build_phi_link(k1: L.Knot, k2: L.Knot, toroidal1=(), toroidal2=(),
                    spheres_left=(), spheres_right=(),
                    zeta1=None, zeta2=None) -> PhiLinkGroup:
-    """Two-sided mirror of build_phi: toroidal generators
+    """Two-sided presentation: toroidal generators
     (lambda(K1_q, K2), (phi_q, 1)) and (lambda(K1, K2_q), (1, psi_q)) read
     off link traces, left/right sphere families kept symbolic."""
     if k1.spec != k2.spec:
@@ -187,6 +229,20 @@ def act_link_inverse(gen: PhiLinkGen, y: R.RingElement) -> R.RingElement:
     return R.biact(phi_inv, psi_inv, R.add(y, R.negate(gen.z)))
 
 
+def _step(gen, d: int, y: R.RingElement) -> R.RingElement:
+    """gen (d = +1) or its inverse (d = -1) applied to y."""
+    if isinstance(gen, PhiLinkGen):
+        return act_link(gen, y) if d > 0 else act_link_inverse(gen, y)
+    return act(gen, y) if d > 0 else act_inverse(gen, y)
+
+
+def _outer(c: tuple, y: R.RingElement) -> R.RingElement:
+    """The outer conjugator c on y: (alpha,) conjugates, (alpha, beta) biacts."""
+    if all(G.is_identity(a) for a in c):
+        return y
+    return R.biact(c[0], c[1], y) if len(c) == 2 else R.conj_act(c[0], y)
+
+
 def is_spherical_presented(phi: PhiGroup | PhiLinkGroup) -> bool:
     """True iff every toroidal generator of the presentation has z = 0."""
     return all(not g.z for g in phi.toroidal)
@@ -198,8 +254,8 @@ def is_spherical_presented(phi: PhiGroup | PhiLinkGroup) -> bool:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Replayable witness: y1 = c . (g_n^e_n ... g_1^e_1 . y2) . c^-1,
-    steps applied left to right, conjugator last (a pair for links)."""
+    """Replayable witness: y1 = c . (g_n^e_n ... g_1^e_1 . y2), steps
+    applied left to right, the outer conjugator c last."""
     steps: tuple  # of (PhiGen | PhiLinkGen, +1 | -1)
     conjugator: tuple  # (alpha,) or (alpha, beta)
 
@@ -235,15 +291,8 @@ def replay(cert: Certificate, y1: R.RingElement, y2: R.RingElement) -> bool:
     """Exact check that the certificate carries y2 to y1."""
     y = y2
     for gen, d in cert.steps:
-        if isinstance(gen, PhiLinkGen):
-            y = act_link(gen, y) if d > 0 else act_link_inverse(gen, y)
-        else:
-            y = act(gen, y) if d > 0 else act_inverse(gen, y)
-    if len(cert.conjugator) == 2:
-        y = R.biact(cert.conjugator[0], cert.conjugator[1], y)
-    else:
-        y = R.conj_act(cert.conjugator[0], y)
-    return y == y1
+        y = _step(gen, d, y)
+    return _outer(cert.conjugator, y) == y1
 
 
 # ---------------------------------------------------------------------------
@@ -273,426 +322,290 @@ def _ball(spec, gens, radius, cap=400):
 
 def _sphere_element(ctx, t, points, right=False):
     """Class sum of a sphere translate: t.sigma (or sigma.t on the right)."""
-    if right:
-        pairs = [(G.multiply(p, t), s) for s, p in points]
-    else:
-        pairs = [(G.multiply(t, p), s) for s, p in points]
-    return R.from_terms(ctx, pairs)
+    return R.from_terms(ctx, [(G.multiply(p, t) if right else G.multiply(t, p), s)
+                              for s, p in points])
 
 
-def _support_multiset(y: R.RingElement):
-    return tuple(sorted(abs(c) for _, c in y.terms))
+def _translate_gen(phi, z, sph, t):
+    """The pure generator (z, 1) of the sphere translate at t."""
+    one = G.identity(phi.context.spec)
+    return _gen(z, (one,) * len(phi.zetas),
+                f"spherical[{sph.label}]@{G.format_word(t)}")
+
+
+def _shifts_keys(phi) -> bool:
+    """Whether the outer action moves class keys of an abelian image: a
+    conjugation (alpha,) fixes them, a biaction (alpha, beta) shifts them."""
+    return len(phi.zetas) == 2
 
 
 # ---------------------------------------------------------------------------
-# exact abelian decision (one-sided)
+# exact abelian decision
 
 
-def _abelian_applicable(phi: PhiGroup) -> bool:
-    spec = phi.context.spec
-    if spec.kind != G.FREE_ABELIAN:
-        return False
-    if not phi.spheres:
-        return True
-    # translate orbits of a sphere family are indexed by G/<gamma>;
-    # total enumeration needs that index finite
-    return (len(spec.labels) == 1 and phi.context.flavor == R.COSET)
-
-
-def _abelian_translate_reps(phi: PhiGroup):
-    spec = phi.context.spec
-    n = abs(phi.context.gamma.syllables[0][1])
-    return [G.make_element(spec, [(0, a)]) for a in range(n)]
-
-
-def _decide_abelian(y1, y2, phi: PhiGroup, bounds) -> DecisionResult:
-    """Total decision on abelian specs: conjugation is trivial, so the orbit
-    of y2 is y2 plus the lattice spanned by the generator offsets; membership
-    is a Smith-normal-form computation over the class keys."""
+def _abelian_applicable(phi: PhiGroup | PhiLinkGroup) -> bool:
+    """The lattice decision is exact: the group is abelian, and every key
+    translation the action makes ranges over a finite key group.  Sphere
+    translates and a link's outer biaction range over G/<gamma[, delta]>,
+    which is finite in rank 1."""
     ctx = phi.context
+    if ctx.spec.kind != G.FREE_ABELIAN:
+        return False
+    if not _shifts_keys(phi) and not phi.sided_spheres:
+        return True
+    return len(ctx.spec.labels) == 1 and ctx.flavor in (R.COSET, R.TWO_SIDED)
+
+
+_link_abelian_applicable = _abelian_applicable  # read by bench/worker.py
+
+
+def _abelian_lattice(phi):
+    """Generators whose offsets span the orbit lattice, and the outer
+    conjugators to scan y2 by.  A knot's outer conjugation is trivial: the
+    offsets are the toroidal ones and the sphere translates over G/<gamma>.
+    A link's class keys form Z/gcd(n_gamma, n_delta), which the biaction
+    (x^a, 1) shifts them through: the offsets are closed under the shifts,
+    and every shift of y2 is scanned."""
+    ctx = phi.context
+    spec = ctx.spec
+    one = G.identity(spec)
     gens = [g for g in phi.toroidal if g.z]
-    for sph in phi.spheres:
-        for t in _abelian_translate_reps(phi) if phi.spheres else []:
-            z = _sphere_element(ctx, t, sph.points)
-            if z:
-                gens.append(PhiGen(z, G.identity(ctx.spec),
-                                   f"spherical[{sph.label}]@{G.format_word(t)}"))
+    if not _shifts_keys(phi):
+        for sph in phi.spheres:
+            for a in range(abs(ctx.gamma.syllables[0][1])):
+                t = G.make_element(spec, [(0, a)])
+                z = _sphere_element(ctx, t, sph.points)
+                if z:
+                    gens.append(_translate_gen(phi, z, sph, t))
+        return gens, [(one,)]
+    n = math.gcd(*(abs(w.syllables[0][1]) if w.syllables else 0
+                   for w in (ctx.gamma, ctx.delta)))
+    shifts = [(G.make_element(spec, [(0, a)]), one) for a in range(max(n, 1))]
+    base = [(g.z, g.provenance) for g in gens]
+    base += [(_sphere_element(ctx, one, sph.points, right), f"spherical[{sph.label}]")
+             for sph, right in phi.sided_spheres]
+    closed = []
+    seen = set()
+    for z, prov in base:
+        for c in shifts:
+            zc = _outer(c, z)
+            if zc and zc not in seen:
+                seen.add(zc)
+                closed.append(PhiLinkGen(zc, one, one,
+                                         f"shift[{prov},{G.format_word(c[0])}]"))
+    return closed, shifts
+
+
+def _decide_abelian(y1, y2, phi) -> DecisionResult:
+    """Total decision on abelian specs: the orbit of y2 is the union over
+    the scanned outer conjugates of y2 of their lattice translates;
+    membership is a Smith-normal-form computation over the class keys."""
+    gens, outer = _abelian_lattice(phi)
     relations = [dict(g.z.terms) for g in gens]
-    diff = dict(R.add(y1, R.negate(y2)).terms)
-    coeffs = S.lattice_member(relations, diff)
-    if coeffs is None:
-        return DecisionResult("distinct", separator="abelian-lattice",
-                              values=(R.format_ring(y1), R.format_ring(y2)))
-    steps = []
-    for g, c in zip(gens, coeffs):
-        if c:
-            steps.extend([(g, 1 if c > 0 else -1)] * abs(c))
-    return DecisionResult("equal",
-                          certificate=Certificate(tuple(steps), (G.identity(ctx.spec),)))
+    for c in outer:
+        diff = dict(R.add(y1, R.negate(_outer(c, y2))).terms)
+        coeffs = S.lattice_member(relations, diff)
+        if coeffs is None:
+            continue
+        # replay applies the steps to y2 and c last, which moves the
+        # offsets too; undo c on each generator used to compensate
+        c_inv = tuple(G.invert(a) for a in c)
+        steps = []
+        for g, k in zip(gens, coeffs):
+            if k:
+                steps.extend([(replace(g, z=_outer(c_inv, g.z)), 1 if k > 0 else -1)] * abs(k))
+        return DecisionResult("equal", certificate=Certificate(tuple(steps), c))
+    return DecisionResult("distinct", separator="abelian-lattice",
+                          values=(R.format_ring(y1), R.format_ring(y2)))
 
 
 # ---------------------------------------------------------------------------
-# homomorphic separator check (one-sided)
+# homomorphic separator check
 
 
-def _separator_distinct(y1, y2, phi: PhiGroup) -> DecisionResult | None:
+def _separator_distinct(y1, y2, phi) -> DecisionResult | None:
     """Try the shipped abelian-quotient separators; sound but partial.
 
-    Conjugation pushes to the identity on an abelian target, so the pushed
-    orbit of y2 is a lattice translate; sphere families push to translates
-    indexed by the finite target group, so they are enumerated exactly or
-    the separator abstains.
+    On an abelian target, outer conjugation pushes to the identity while an
+    outer biaction shifts pushed classes through the target, and sphere
+    families push to translates indexed by the target.  Shifts and
+    translates are enumerated exactly on a finite target, or the separator
+    abstains.
     """
     ctx = phi.context
+    shifts_keys = _shifts_keys(phi)
+    enumerates = shifts_keys or bool(phi.sided_spheres)
     for sep in S.default_separator_suite(ctx.spec):
-        if phi.spheres and not sep.target_finite:
+        if enumerates and not sep.target_finite:
             continue
         pc = S.PushedContext.of(sep, ctx)
+        zero = (0,) * sep.dim
+        taus = sep.target_elements() if enumerates else [zero]
+        shifts = taus if shifts_keys else [zero]
 
-        def pushed(y):
-            return pc.push(y)
+        def images(y):
+            return [(sep.image(k.representative), c) for k, c in y.terms]
 
-        relations = []
-        for g in phi.toroidal:
-            if g.z:
-                relations.append(pushed(g.z))
-        for sph in phi.spheres:
-            imgs = [(s, sep.image(p)) for s, p in sph.points]
-            for tau in sep.target_elements():
-                rel = {}
-                for s, v in imgs:
-                    pk = pc.pushed_class(S._vec_add(tau, v))
-                    if pk is None:
-                        continue
-                    rel[pk] = rel.get(pk, 0) + s
-                rel = {k: c for k, c in rel.items() if c}
+        def pushed(terms, tau, acc=(), sign=1):
+            """acc plus sign times the pushed class sum of terms shifted by tau."""
+            out = dict(acc)
+            for v, c in terms:
+                pk = pc.pushed_class(S._vec_add(tau, v))
+                if pk is not None:
+                    out[pk] = out.get(pk, 0) + sign * c
+            return {k: c for k, c in out.items() if c}
+
+        families = [(images(g.z), shifts) for g in phi.toroidal if g.z]
+        families += [([(sep.image(p), s) for s, p in sph.points], taus)
+                     for sph, _ in phi.sided_spheres]
+        relations = {}
+        for terms, moves in families:
+            for tau in moves:
+                rel = pushed(terms, tau)
                 if rel:
-                    relations.append(rel)
-        v1, v2 = pushed(y1), pushed(y2)
-        diff = {}
-        for src, sgn in ((v1, 1), (v2, -1)):
-            for k, c in src.items():
-                diff[k] = diff.get(k, 0) + sgn * c
-        diff = {k: c for k, c in diff.items() if c}
-        if S.lattice_member(relations, diff) is None:
+                    relations.setdefault(tuple(sorted(rel.items())), rel)
+        relations = list(relations.values())
+        v1, t2 = pushed(images(y1), zero), images(y2)
+        # the pushed orbit of y2: its shifts plus the relation lattice
+        if all(S.lattice_member(relations, pushed(t2, tau, v1, -1)) is None
+               for tau in shifts):
             return DecisionResult("distinct", separator=sep.name,
                                   values=(tuple(sorted(v1.items())),
-                                          tuple(sorted(v2.items()))))
+                                          tuple(sorted(pushed(t2, zero).items()))))
     return None
 
 
 # ---------------------------------------------------------------------------
-# bounded bidirectional orbit search (one-sided)
+# bounded bidirectional orbit search
+
+# Enumeration sizes by number of outer factors.  A link's outer conjugators
+# are pairs drawn from a product of two balls, so its balls are smaller:
+# (radius, cap) of each factor's ball of conjugators for the toroidal
+# generators, the cap on those conjugated generators, and depth ->
+# (radius, cap) of each factor's ball of backward seeds.
+_SIZES = {
+    1: ((2, 60), None, lambda depth: (min(3, depth), 200)),
+    2: ((1, 10), 60, lambda depth: (2, 40)),
+}
+
+
+def _conjugated_toroidal(phi, ball, gen_cap):
+    """Toroidal generators conjugated by outer conjugators c, (c.z, c.parts),
+    dropping repeats and identities."""
+    spec = phi.context.spec
+    out = []
+    seen = set()
+    for c in itertools.product(*(_ball(spec, zs, ball[0], cap=ball[1]) for zs in phi.zetas)):
+        for g in phi.toroidal:
+            z = _outer(c, g.z)
+            parts = tuple(G.conjugate(p, a) for p, a in zip(g.parts, c))
+            key = (z, parts)
+            if key in seen or (not z and all(G.is_identity(p) for p in parts)):
+                continue
+            seen.add(key)
+            out.append(_gen(z, parts, f"conj[{g.provenance},"
+                                      f"{','.join(G.format_word(a) for a in c)}]"))
+            if len(out) == gen_cap:
+                return out
+    return out
 
 
 class _OrbitSearch:
     """Meet-in-the-middle search over the Phi-orbit.
 
     Forward states grow from y2 under the generator action; backward states
-    grow from the centralizer conjugates of y1 under the inverse action.
-    Sphere translates are generated goal-directed: for every class key in a
-    state, candidate translates align a sphere point with that key so the
-    relation can cancel it.  The smaller frontier is expanded each round.
+    grow from the outer conjugates of y1 under the inverse action.  Sphere
+    translates are generated goal-directed: for every class key in a state,
+    candidate translates align a sphere point with that key so the relation
+    can cancel it.  The smaller frontier is expanded each round.
     """
 
-    def __init__(self, phi: PhiGroup, bounds: Bounds):
+    def __init__(self, phi: PhiGroup | PhiLinkGroup, bounds: Bounds):
         self.phi = phi
-        self.ctx = phi.context
+        self.ctx = ctx = phi.context
         self.bounds = bounds
-        spec = self.ctx.spec
-        self.gamma = self.ctx.gamma if self.ctx.flavor == R.COSET else None
-        # static generators: toroidal ones plus their centralizer conjugates
-        static = []
+        spec = ctx.spec
+        conj_ball, gen_cap, self.seed_ball = _SIZES[len(phi.zetas)]
+        # static generators: conjugated toroidal ones plus a small
+        # enumerated sample of sphere translates
+        static = _conjugated_toroidal(phi, conj_ball, gen_cap)
         seen = set()
-        for alpha in _ball(spec, phi.zeta_gens, 2, cap=60):
-            for g in phi.toroidal:
-                z = R.conj_act(alpha, g.z)
-                ph = G.conjugate(g.phi, alpha)
-                key = (z, ph)
-                if key not in seen and (z or not G.is_identity(ph)):
-                    seen.add(key)
-                    static.append(PhiGen(z, ph, f"conj[{g.provenance},{G.format_word(alpha)}]"))
-        # a small enumerated sample of sphere translates
         for t in _ball(spec, G.all_generators(spec), 2, cap=60):
             if t.length() > bounds.translate_len:
                 continue
-            for sph in phi.spheres:
-                z = _sphere_element(self.ctx, t, sph.points)
-                if z and (z, None) not in seen:
-                    seen.add((z, None))
-                    static.append(PhiGen(z, G.identity(spec),
-                                         f"spherical[{sph.label}]@{G.format_word(t)}"))
+            for sph, right in phi.sided_spheres:
+                z = _sphere_element(ctx, t, sph.points, right)
+                if z and z not in seen:
+                    seen.add(z)
+                    static.append(_translate_gen(phi, z, sph, t))
         self.static_gens = static
+        # goal translates are padded by the class word on the sphere's side;
+        # keys of the one-sided rings are classes modulo inversion
+        self.pads = {right: [G.identity(spec)] + (
+            [side, G.invert(side)] if side is not None and not G.is_identity(side) else [])
+            for right, side in ((False, ctx.gamma), (True, ctx.delta))}
+        self.inverts = ctx.flavor in (R.COSET, R.REDUCED)
 
     def _goal_gens(self, y: R.RingElement):
         """Sphere translates aligned with the support of y."""
-        spec = self.ctx.spec
         out = []
         seen = set()
-        pads = [G.identity(spec)]
-        if self.gamma is not None:
-            pads += [self.gamma, G.invert(self.gamma)]
         for key in y.support():
             rep = key.representative
-            for u in (rep, G.invert(rep)):
-                for sph in self.phi.spheres:
+            for u in (rep, G.invert(rep)) if self.inverts else (rep,):
+                for sph, right in self.phi.sided_spheres:
                     for s, p in sph.points:
-                        base = G.multiply(u, G.invert(p))
-                        for pad in pads:
-                            t = G.multiply(pad, base)
-                            if t.length() > self.bounds.translate_len or t in seen:
+                        base = G.multiply(G.invert(p), u) if right else G.multiply(u, G.invert(p))
+                        for pad in self.pads[right]:
+                            t = G.multiply(base, pad) if right else G.multiply(pad, base)
+                            if t.length() > self.bounds.translate_len or (t, right) in seen:
                                 continue
-                            seen.add(t)
-                            z = _sphere_element(self.ctx, t, sph.points)
+                            seen.add((t, right))
+                            z = _sphere_element(self.ctx, t, sph.points, right)
                             if z:
-                                out.append(PhiGen(z, G.identity(spec),
-                                                  f"spherical[{sph.label}]@{G.format_word(t)}"))
+                                out.append(_translate_gen(self.phi, z, sph, t))
         return out
 
     def _admissible(self, y: R.RingElement) -> bool:
-        if len(y.terms) > self.term_cap:
-            return False
-        return all(k.representative.length() <= self.bounds.support_len
-                   for k, _ in y.terms)
+        return len(y.terms) <= self.term_cap and all(
+            k.representative.length() <= self.bounds.support_len for k, _ in y.terms)
 
     def _neighbors(self, y: R.RingElement):
         for gen in self.static_gens + self._goal_gens(y):
-            yield gen, 1, act(gen, y)
-            yield gen, -1, act_inverse(gen, y)
+            yield gen, 1, _step(gen, 1, y)
+            yield gen, -1, _step(gen, -1, y)
 
     def run(self, y1: R.RingElement, y2: R.RingElement):
         """A Certificate carrying y2 to y1, or None within bounds."""
         b = self.bounds
         self.term_cap = len(y1.terms) + len(y2.terms) + 4
-        spec = self.ctx.spec
+        radius, cap = self.seed_ball(b.depth)
         # forward: states reachable from y2; value = (parent, gen, dir)
         fwd: dict[R.RingElement, tuple] = {y2: None}
-        # backward: states s with a known path s -> alpha y1 alpha^-1;
-        # value = (child, gen, dir, alpha) with child one step closer to y1
+        # backward: states s with a known path s -> c y1 for an outer
+        # conjugator c; value = (child, gen, dir, c) with child one step
+        # closer to c y1
         bwd: dict[R.RingElement, tuple] = {}
-        for alpha in _ball(spec, self.phi.zeta_gens, min(3, b.depth), cap=200):
-            s = R.conj_act(alpha, y1)
+        for c in itertools.product(*(_ball(self.ctx.spec, zs, radius, cap=cap)
+                                     for zs in self.phi.zetas)):
+            s = _outer(c, y1)
             if s not in bwd:
-                bwd[s] = (None, None, 0, alpha)
+                bwd[s] = (None, None, 0, c)
         ffrontier, bfrontier = list(fwd), list(bwd)
         fdepth = bdepth = 0
-
-        def meet():
-            for s in fwd:
-                if s in bwd:
-                    return s
-            return None
-
-        m = meet()
-        while m is None and fdepth + bdepth < b.depth and (ffrontier or bfrontier):
-            expand_fwd = bool(ffrontier) and (not bfrontier or len(ffrontier) <= len(bfrontier))
-            if expand_fwd:
-                nxt = []
-                for state in ffrontier:
-                    for gen, d, ns in self._neighbors(state):
-                        if ns in fwd or not self._admissible(ns):
-                            continue
-                        fwd[ns] = (state, gen, d)
-                        nxt.append(ns)
-                        if ns in bwd:
-                            m = ns
-                            break
-                        if len(fwd) > b.max_states:
-                            break
-                    if m is not None or len(fwd) > b.max_states:
-                        break
-                ffrontier = nxt if len(fwd) <= b.max_states else []
-                fdepth += 1
-            else:
-                nxt = []
-                for state in bfrontier:
-                    alpha = bwd[state][3]
-                    # predecessors of state: applying the edge forward lands on state
-                    for gen, d, ps in self._neighbors(state):
-                        # edge ps -> state has direction -d
-                        if ps in bwd or not self._admissible(ps):
-                            continue
-                        bwd[ps] = (state, gen, -d, alpha)
-                        nxt.append(ps)
-                        if ps in fwd:
-                            m = ps
-                            break
-                        if len(bwd) > b.max_states:
-                            break
-                    if m is not None or len(bwd) > b.max_states:
-                        break
-                bfrontier = nxt if len(bwd) <= b.max_states else []
-                bdepth += 1
-            if m is None:
-                m = meet()
-        if m is None:
-            return None
-        # forward half: y2 -> m
-        steps = []
-        cur = m
-        while fwd[cur] is not None:
-            parent, gen, d = fwd[cur]
-            steps.append((gen, d))
-            cur = parent
-        steps.reverse()
-        # backward half: m -> alpha y1 alpha^-1
-        cur = m
-        alpha = bwd[m][3]
-        while bwd[cur][0] is not None:
-            child, gen, d, alpha = bwd[cur][:4]
-            steps.append((gen, d))
-            cur = child
-        return Certificate(tuple(steps), (G.invert(alpha),))
-
-
-def decide_equal(y1: R.RingElement, y2: R.RingElement, phi: PhiGroup,
-                 bounds: Bounds = Bounds()) -> DecisionResult:
-    """Certified comparison of two values modulo the indeterminacy action."""
-    if y1.context != y2.context or y1.context != phi.context:
-        raise SpecMismatch("operands and Phi presentation must share a context")
-    if y1 == y2:
-        return DecisionResult("equal", certificate=Certificate(
-            (), (G.identity(phi.context.spec),)))
-    if _abelian_applicable(phi):
-        res = _decide_abelian(y1, y2, phi, bounds)
-        if res.verdict == "equal" and not replay(res.certificate, y1, y2):
-            raise SpecMismatch("abelian certificate failed to replay")
-        return res
-    # true invariants first: they are independent of the search bounds, so a
-    # Distinct here can never conflict with an Equal at any depth
-    res = _separator_distinct(y1, y2, phi)
-    if res is not None:
-        return res
-    if not phi.spheres and is_spherical_presented(phi):
-        # pure conjugation acts termwise by a key bijection
-        m1, m2 = _support_multiset(y1), _support_multiset(y2)
-        if m1 != m2:
-            return DecisionResult("distinct", separator="support-multiset",
-                                  values=(m1, m2))
-    cert = _OrbitSearch(phi, bounds).run(y1, y2)
-    if cert is not None:
-        if not replay(cert, y1, y2):
-            raise SpecMismatch("orbit certificate failed to replay")
-        return DecisionResult("equal", certificate=cert)
-    return DecisionResult("unknown", bounds=bounds)
-
-
-# ---------------------------------------------------------------------------
-# two-sided (link) decision
-
-
-def _link_conj_variants(phi: PhiLinkGroup, cap=60):
-    spec = phi.context.spec
-    out = []
-    seen = set()
-    balls1 = _ball(spec, phi.zeta1, 1, cap=10)
-    balls2 = _ball(spec, phi.zeta2, 1, cap=10)
-    for a in balls1:
-        for b in balls2:
-            for g in phi.toroidal:
-                z = R.biact(a, b, g.z)
-                ph = G.conjugate(g.phi, a)
-                ps = G.conjugate(g.psi, b)
-                key = (z, ph, ps)
-                if key in seen or (not z and G.is_identity(ph) and G.is_identity(ps)):
-                    continue
-                seen.add(key)
-                out.append(PhiLinkGen(z, ph, ps,
-                                      f"conj[{g.provenance},{G.format_word(a)},{G.format_word(b)}]"))
-                if len(out) >= cap:
-                    return out
-    return out
-
-
-class _LinkOrbitSearch:
-    def __init__(self, phi: PhiLinkGroup, bounds: Bounds):
-        self.phi = phi
-        self.ctx = phi.context
-        self.bounds = bounds
-        spec = self.ctx.spec
-        one = G.identity(spec)
-        static = list(_link_conj_variants(phi))
-        seen = set()
-        for t in _ball(spec, G.all_generators(spec), 2, cap=60):
-            if t.length() > bounds.translate_len:
-                continue
-            for sph, right in ([(s, False) for s in phi.spheres_left]
-                               + [(s, True) for s in phi.spheres_right]):
-                z = _sphere_element(self.ctx, t, sph.points, right=right)
-                if z and z not in seen:
-                    seen.add(z)
-                    static.append(PhiLinkGen(z, one, one,
-                                             f"spherical[{sph.label}]@{G.format_word(t)}"))
-        self.static_gens = static
-
-    def _goal_gens(self, y):
-        spec = self.ctx.spec
-        one = G.identity(spec)
-        out = []
-        seen = set()
-        for key in y.support():
-            rep = key.representative
-            for sph, right in ([(s, False) for s in self.phi.spheres_left]
-                               + [(s, True) for s in self.phi.spheres_right]):
-                pads = [one]
-                side = self.ctx.delta if right else self.ctx.gamma
-                if side is not None and not G.is_identity(side):
-                    pads += [side, G.invert(side)]
-                for s, p in sph.points:
-                    if right:
-                        base = G.multiply(G.invert(p), rep)
-                    else:
-                        base = G.multiply(rep, G.invert(p))
-                    for pad in pads:
-                        t = G.multiply(base, pad) if right else G.multiply(pad, base)
-                        if t.length() > self.bounds.translate_len or (t, right) in seen:
-                            continue
-                        seen.add((t, right))
-                        z = _sphere_element(self.ctx, t, sph.points, right=right)
-                        if z:
-                            out.append(PhiLinkGen(z, one, one,
-                                                  f"spherical[{sph.label}]@{G.format_word(t)}"))
-        return out
-
-    def _admissible(self, y):
-        if len(y.terms) > self.term_cap:
-            return False
-        return all(k.representative.length() <= self.bounds.support_len
-                   for k, _ in y.terms)
-
-    def _neighbors(self, y):
-        for gen in self.static_gens + self._goal_gens(y):
-            yield gen, 1, act_link(gen, y)
-            yield gen, -1, act_link_inverse(gen, y)
-
-    def run(self, y1, y2):
-        b = self.bounds
-        self.term_cap = len(y1.terms) + len(y2.terms) + 4
-        spec = self.ctx.spec
-        fwd: dict[R.RingElement, tuple] = {y2: None}
-        bwd: dict[R.RingElement, tuple] = {}
-        for a in _ball(spec, self.phi.zeta1, 2, cap=40):
-            for bb in _ball(spec, self.phi.zeta2, 2, cap=40):
-                s = R.biact(a, bb, y1)
-                if s not in bwd:
-                    bwd[s] = (None, None, 0, (a, bb))
-        ffrontier, bfrontier = list(fwd), list(bwd)
-        fdepth = bdepth = 0
-        m = next((s for s in fwd if s in bwd), None)
+        # every later meet is caught when its state is inserted
+        m = y2 if y2 in bwd else None
         while m is None and fdepth + bdepth < b.depth and (ffrontier or bfrontier):
             expand_fwd = bool(ffrontier) and (not bfrontier or len(ffrontier) <= len(bfrontier))
             src, other = (fwd, bwd) if expand_fwd else (bwd, fwd)
             frontier = ffrontier if expand_fwd else bfrontier
             nxt = []
             for state in frontier:
-                extra = src[state][3] if not expand_fwd else None
                 for gen, d, ns in self._neighbors(state):
                     if ns in src or not self._admissible(ns):
                         continue
-                    if expand_fwd:
-                        src[ns] = (state, gen, d)
-                    else:
-                        src[ns] = (state, gen, -d, extra)
+                    # a backward edge ns -> state applies gen with direction -d
+                    src[ns] = (state, gen, d) if expand_fwd else (state, gen, -d, src[state][3])
                     nxt.append(ns)
                     if ns in other:
                         m = ns
@@ -709,6 +622,7 @@ class _LinkOrbitSearch:
                 bdepth += 1
         if m is None:
             return None
+        # forward half: y2 -> m
         steps = []
         cur = m
         while fwd[cur] is not None:
@@ -716,152 +630,50 @@ class _LinkOrbitSearch:
             steps.append((gen, d))
             cur = parent
         steps.reverse()
-        cur = m
-        pair = bwd[m][3]
+        # backward half: m -> c y1
+        cur, c = m, bwd[m][3]
         while bwd[cur][0] is not None:
-            child, gen, d, pair = bwd[cur]
+            child, gen, d, c = bwd[cur]
             steps.append((gen, d))
             cur = child
-        return Certificate(tuple(steps), (G.invert(pair[0]), G.invert(pair[1])))
+        return Certificate(tuple(steps), tuple(G.invert(a) for a in c))
 
 
-def _link_abelian_applicable(phi: PhiLinkGroup) -> bool:
-    spec = phi.context.spec
-    if spec.kind != G.FREE_ABELIAN:
-        return False
-    # the class-key group G/<gamma, delta> must be finite for full enumeration
-    return phi.context.flavor == R.TWO_SIDED and len(spec.labels) == 1
+# ---------------------------------------------------------------------------
+# the decision
 
 
-def _decide_link_abelian(y1, y2, phi: PhiLinkGroup) -> DecisionResult:
-    """Rank-1 two-sided decision: class keys form the finite group
-    Z/gcd(n_gamma, n_delta); the outer centralizer conjugation shifts keys
-    through all of it, so shift-closing the offset lattice and scanning the
-    shift of y2 decides membership exactly."""
-    ctx = phi.context
-    spec = ctx.spec
-    import math
-    n = math.gcd(abs(ctx.gamma.syllables[0][1]) if ctx.gamma.syllables else 0,
-                 abs(ctx.delta.syllables[0][1]) if ctx.delta.syllables else 0)
-    shifts = [G.make_element(spec, [(0, a)]) for a in range(max(n, 1))]
-    one = G.identity(spec)
-    base = [(g.z, g.provenance) for g in phi.toroidal if g.z]
-    for sph in phi.spheres_left:
-        z = _sphere_element(ctx, one, sph.points)
-        base.append((z, f"spherical[{sph.label}]"))
-    for sph in phi.spheres_right:
-        z = _sphere_element(ctx, one, sph.points, right=True)
-        base.append((z, f"spherical[{sph.label}]"))
-    gens = []
-    seen = set()
-    for z, prov in base:
-        for u in shifts:
-            zu = R.biact(u, one, z)
-            if zu and zu not in seen:
-                seen.add(zu)
-                gens.append(PhiLinkGen(zu, one, one, f"shift[{prov},{G.format_word(u)}]"))
-    relations = [dict(g.z.terms) for g in gens]
-    for s in shifts:
-        y2s = R.biact(s, one, y2)
-        diff = dict(R.add(y1, R.negate(y2s)).terms)
-        coeffs = S.lattice_member(relations, diff)
-        if coeffs is None:
-            continue
-        # replay applies steps to y2 and biacts by (s, 1) last, which moves
-        # the offsets too; pre-unshift each used generator to compensate
-        s_inv = G.invert(s)
-        steps = []
-        for g, c in zip(gens, coeffs):
-            if c:
-                unshifted = PhiLinkGen(R.biact(s_inv, one, g.z), one, one, g.provenance)
-                steps.extend([(unshifted, 1 if c > 0 else -1)] * abs(c))
-        cert = Certificate(tuple(steps), (s, one))
-        return DecisionResult("equal", certificate=cert)
-    return DecisionResult("distinct", separator="abelian-lattice",
-                          values=(R.format_ring(y1), R.format_ring(y2)))
-
-
-def _link_separator_distinct(y1, y2, phi: PhiLinkGroup) -> DecisionResult | None:
-    """Pushed two-sided decision: on a finite abelian target the outer
-    biaction shifts classes through the whole target, so close the pushed
-    relations under all shifts and scan all shifts of y2."""
-    ctx = phi.context
-    for sep in S.default_separator_suite(ctx.spec):
-        if not sep.target_finite:
-            continue
-        pc = S.PushedContext.of(sep, ctx)
-        taus = sep.target_elements()
-
-        def classify(vec_terms):
-            out = {}
-            for v, c in vec_terms:
-                pk = pc.pushed_class(v)
-                if pk is None:
-                    continue
-                out[pk] = out.get(pk, 0) + c
-            return {k: c for k, c in out.items() if c}
-
-        base_vecs = []
-        for g in phi.toroidal:
-            if g.z:
-                base_vecs.append([(sep.image(k.representative), c) for k, c in g.z.terms])
-        for sph in phi.spheres_left + phi.spheres_right:
-            base_vecs.append([(sep.image(p), s) for s, p in sph.points])
-        relations = []
-        rel_seen = set()
-        for terms in base_vecs:
-            for tau in taus:
-                rel = classify([(S._vec_add(tau, v), c) for v, c in terms])
-                key = tuple(sorted(rel.items()))
-                if rel and key not in rel_seen:
-                    rel_seen.add(key)
-                    relations.append(rel)
-        t1 = [(sep.image(k.representative), c) for k, c in y1.terms]
-        t2 = [(sep.image(k.representative), c) for k, c in y2.terms]
-        v1 = classify(t1)
-        found = False
-        for s in taus:
-            v2 = classify([(S._vec_add(s, v), c) for v, c in t2])
-            diff = dict(v1)
-            for k, c in v2.items():
-                diff[k] = diff.get(k, 0) - c
-            diff = {k: c for k, c in diff.items() if c}
-            if S.lattice_member(relations, diff) is not None:
-                found = True
-                break
-        if not found:
-            return DecisionResult("distinct", separator=sep.name,
-                                  values=(tuple(sorted(v1.items())),
-                                          tuple(sorted(classify(t2).items()))))
-    return None
-
-
-def decide_equal_link(y1: R.RingElement, y2: R.RingElement, phi: PhiLinkGroup,
-                      bounds: Bounds = Bounds()) -> DecisionResult:
-    """Two-sided mirror of decide_equal for linking numbers of 2-component
-    links, under y -> z + phi y psi^-1 and outer zeta x zeta biaction."""
+def decide_equal(y1: R.RingElement, y2: R.RingElement,
+                 phi: PhiGroup | PhiLinkGroup,
+                 bounds: Bounds = Bounds()) -> DecisionResult:
+    """Certified comparison of two values modulo the indeterminacy action of
+    a knot (PhiGroup) or of a 2-component link (PhiLinkGroup)."""
     if y1.context != y2.context or y1.context != phi.context:
         raise SpecMismatch("operands and Phi presentation must share a context")
-    one = G.identity(phi.context.spec)
     if y1 == y2:
-        return DecisionResult("equal", certificate=Certificate((), (one, one)))
-    if _link_abelian_applicable(phi):
-        res = _decide_link_abelian(y1, y2, phi)
-        if res.verdict == "equal" and not replay(res.certificate, y1, y2):
-            raise SpecMismatch("abelian certificate failed to replay")
-        return res
-    res = _link_separator_distinct(y1, y2, phi)
-    if res is not None:
-        return res
-    if (not phi.spheres_left and not phi.spheres_right
-            and is_spherical_presented(phi)):
-        m1, m2 = _support_multiset(y1), _support_multiset(y2)
-        if m1 != m2:
-            return DecisionResult("distinct", separator="support-multiset",
-                                  values=(m1, m2))
-    cert = _LinkOrbitSearch(phi, bounds).run(y1, y2)
-    if cert is not None:
-        if not replay(cert, y1, y2):
-            raise SpecMismatch("orbit certificate failed to replay")
-        return DecisionResult("equal", certificate=cert)
-    return DecisionResult("unknown", bounds=bounds)
+        one = (G.identity(phi.context.spec),)
+        return DecisionResult("equal", certificate=Certificate((), one * len(phi.zetas)))
+    if _abelian_applicable(phi):
+        res = _decide_abelian(y1, y2, phi)
+    else:
+        # true invariants first: they are independent of the search bounds,
+        # so a Distinct here can never conflict with an Equal at any depth
+        res = _separator_distinct(y1, y2, phi)
+        if res is not None:
+            return res
+        if not phi.sided_spheres and is_spherical_presented(phi):
+            # pure conjugation acts termwise by a key bijection
+            m1, m2 = (tuple(sorted(abs(c) for _, c in y.terms)) for y in (y1, y2))
+            if m1 != m2:
+                return DecisionResult("distinct", separator="support-multiset",
+                                      values=(m1, m2))
+        cert = _OrbitSearch(phi, bounds).run(y1, y2)
+        if cert is None:
+            return DecisionResult("unknown", bounds=bounds)
+        res = DecisionResult("equal", certificate=cert)
+    if res.verdict == "equal" and not replay(res.certificate, y1, y2):
+        raise InvariantViolation("an equality certificate failed to replay")
+    return res
+
+
+decide_equal_link = decide_equal

@@ -152,12 +152,6 @@ def lambda_sphere(sigma: SphereData, k: Knot) -> R.RingElement:
     return R.from_terms(ctx, [(g, s) for s, g in sigma.points])
 
 
-def lambda_sphere_reduced(sigma: SphereData, k: Knot) -> R.RingElement:
-    """The pairing taken in the reduced relative ring."""
-    ctx = R.coset_ring(k.spec, k.gamma)
-    return R.from_terms(ctx, [(g, s) for s, g in sigma.points])
-
-
 def translate_points(g: G.GroupElement, points) -> tuple[Point, ...]:
     """Left-translate raw double-point data by g (the g.sigma sphere)."""
     return tuple((s, G.multiply(g, p)) for s, p in points)

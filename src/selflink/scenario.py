@@ -1,9 +1,9 @@
 """Line-oriented scenario files: groups, knots, traces, spheres, queries.
 
 A scenario declares one ambient group and any number of named knots,
-traces, spheres, link traces, indeterminacy presentations, separators,
-and stored queries.  The grammar is line-oriented with parenthesized
-point lists so that group words stay unambiguous:
+traces, spheres, link traces, indeterminacy presentations and stored
+queries.  The grammar is line-oriented with parenthesized point lists so
+that group words stay unambiguous:
 
     # ambient group
     group free x y
@@ -27,7 +27,6 @@ from . import cosets as R
 from . import groups as G
 from . import indeterminacy as I
 from . import linking as L
-from . import separators as S
 from .errors import (InvariantViolation, ParseError, SelfLinkError,
                      UnresolvedReference)
 
@@ -44,7 +43,6 @@ class Scenario:
     linktraces: dict[str, L.LinkTrace] = field(default_factory=dict)
     phis: dict[str, I.PhiGroup] = field(default_factory=dict)
     philinks: dict[str, I.PhiLinkGroup] = field(default_factory=dict)
-    separators: dict[str, S.Separator] = field(default_factory=dict)
     queries: list[list[str]] = field(default_factory=list)
     # declaration metadata kept for round-trip printing
     _decls: list[tuple[str, str]] = field(default_factory=list)
@@ -260,44 +258,8 @@ def _dispatch(scn: Scenario, tokens, line_no):
         except SelfLinkError as e:
             raise InvariantViolation(f"line {line_no}: {e}") from e
 
-    elif head == "separator":
-        # separator s x -> ( 1 0 ) y -> ( 0 1 ) mod ( 0 3 )
-        name = tokens[1]
-        images = {}
-        moduli = None
-        i = 2
-        while i < len(tokens):
-            if tokens[i] == "mod":
-                moduli = _parse_vector(tokens, i + 1, line_no)[0]
-                break
-            label = tokens[i]
-            if i + 1 >= len(tokens) or tokens[i + 1] != "->":
-                raise ParseError("separator syntax: <label> -> ( ints... )", line=line_no)
-            vec, i = _parse_vector(tokens, i + 2, line_no)
-            images[label] = vec
-        labels = spec.labels
-        missing = [x for x in labels if x not in images]
-        if missing:
-            raise ParseError(f"separator missing images for {missing}", line=line_no)
-        dim = len(next(iter(images.values())))
-        if moduli is None:
-            moduli = (0,) * dim
-        scn.separators[name] = S.Separator(
-            name, spec, tuple(images[x] for x in labels), moduli)
-
     else:
         raise ParseError(f"unknown declaration {head!r}", line=line_no)
-
-
-def _parse_vector(tokens, i, line_no):
-    if i >= len(tokens) or tokens[i] != "(":
-        raise ParseError("expected '(' starting an integer vector", line=line_no)
-    j = tokens.index(")", i)
-    try:
-        vec = tuple(int(t.strip(",")) for t in tokens[i + 1:j] if t.strip(","))
-    except ValueError:
-        raise ParseError("vector entries must be integers", line=line_no) from None
-    return vec, j + 1
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +326,6 @@ def print_scenario(scn: Scenario) -> str:
         out.append(line)
     for name, pl in scn.philinks.items():
         out.append(f"philink {name} knots {pl.knot1.label} {pl.knot2.label}")
-    for name, sep in scn.separators.items():
-        imgs = " ".join(f"{x} -> ( {' '.join(map(str, v))} )"
-                        for x, v in zip(sep.source.labels, sep.images))
-        out.append(f"separator {name} {imgs} mod ( {' '.join(map(str, sep.moduli))} )")
     for q in scn.queries:
         out.append("query " + " ".join(shlex.quote(t) for t in q))
     return "\n".join(out) + "\n"
@@ -438,11 +396,7 @@ def execute_query(scn: Scenario, tokens, bounds: I.Bounds) -> dict:
         phi = _find_phi(scn, args[2] if len(args) > 2 else None)
         y1 = _parse_elem(phi.context, args[0])
         y2 = _parse_elem(phi.context, args[1])
-        if isinstance(phi, I.PhiLinkGroup):
-            res = I.decide_equal_link(y1, y2, phi, bounds)
-        else:
-            res = I.decide_equal(y1, y2, phi, bounds)
-        rec.update(res.to_record())
+        rec.update(I.decide_equal(y1, y2, phi, bounds).to_record())
 
     elif cmd == "spherical":
         phi = _find_phi(scn, args[0] if args else None)

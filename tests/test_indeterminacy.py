@@ -340,6 +340,25 @@ def test_replay_rejects_wrong_certificate():
     assert not I.replay(res.certificate, y1, y2)
 
 
+def test_failed_replay_is_an_invariant_violation(monkeypatch):
+    from selflink import InvariantViolation
+    phi_ab, ctx_ab, _ = _abelian_setting(3, range(3))
+    gamma = S.parse_word(FREE2, "x y")
+    k = L.Knot("k", gamma)
+    phi = I.build_phi(k, [L.Trace(k, k, ((1, S.parse_word(FREE2, "x")),), gamma)])
+    y = R.parse_ring(phi.context, "+1*[y]")
+    cases = [  # one Equal of the lattice decision, one of the orbit search
+        (R.parse_ring(ctx_ab, "+1*[x]"), R.parse_ring(ctx_ab, "+3*[x]"), phi_ab),
+        (I.act(phi.toroidal[0], y), y, phi),
+    ]
+    for y1, y2, phi in cases:
+        assert I.decide_equal(y1, y2, phi).verdict == "equal"
+    monkeypatch.setattr(I, "replay", lambda cert, y1, y2: False)
+    for y1, y2, phi in cases:
+        with pytest.raises(InvariantViolation, match="failed to replay"):
+            I.decide_equal(y1, y2, phi)
+
+
 # ---------------------------------------------------------------------------
 # link decisions
 
@@ -378,3 +397,66 @@ def test_link_decide_monotone():
                     for bd in _bounds_ladder()]
         settled = {v for v in verdicts if v != "unknown"}
         assert len(settled) <= 1
+
+
+# ---------------------------------------------------------------------------
+# link decisions in a free group: the two-sided orbit search and separators
+
+
+def _free_link_phi(cross=True):
+    """Knots x y and x^2 y in the unlink complement, a toroidal link trace
+    per component and an unlink sphere translated on each side."""
+    from selflink.scenario import parse_scenario
+    c1, c2 = (" cross ( + x )", " cross ( - y )") if cross else ("", "")
+    scn = parse_scenario(
+        "group free x y\nknot k1 = x y\nknot k2 = x^2 y\n"
+        "trace a1 : k1 -> k1 latitude x y\ntrace a0 : k1 -> k1 latitude 1\n"
+        "trace b1 : k2 -> k2 latitude x^2 y\ntrace b0 : k2 -> k2 latitude 1\n"
+        f"linktrace l1 : a1 b0{c1}\nlinktrace l2 : a0 b1{c2}\n"
+        "sphere s1 unlink k1\nsphere s2 unlink k2\n"
+        "philink P knots k1 k2 toroidal1 l1 toroidal2 l2 left s1 right s2\n")
+    return scn.philinks["P"]
+
+
+def _free_link_move(phi, move, y):
+    ctx = phi.context
+    t = S.parse_word(ctx.spec, "y")
+    if move == "toroidal1":
+        return I.act_link(phi.toroidal[0], y)
+    if move == "toroidal2-inverse":
+        return I.act_link_inverse(phi.toroidal[1], y)
+    if move == "left-sphere":
+        pts = phi.spheres_left[0].points
+        return R.add(y, R.from_terms(ctx, [(S.multiply(t, p), s) for s, p in pts]))
+    pts = phi.spheres_right[0].points
+    return R.add(y, R.from_terms(ctx, [(S.multiply(p, t), s) for s, p in pts]))
+
+
+# the sphere moves translate by y: at x the left and right translates of
+# these two spheres coincide, and the right family would go untested
+@pytest.mark.parametrize("move, family, direction", [
+    ("toroidal1", "toroidal1", 1),
+    ("toroidal2-inverse", "toroidal2", -1),
+    ("left-sphere", "spherical[s1]", 1),
+    ("right-sphere", "spherical[s2]", 1),
+])
+def test_free_link_search_certifies_one_move(move, family, direction):
+    phi = _free_link_phi()
+    y2 = R.parse_ring(phi.context, "+1*[y]")
+    y1 = _free_link_move(phi, move, y2)
+    assert y1 != y2
+    res = I.decide_equal_link(y1, y2, phi)
+    assert res.verdict == "equal"
+    assert len(res.certificate.conjugator) == 2
+    assert I.replay(res.certificate, y1, y2)
+    (gen, d), = res.certificate.steps
+    assert family in gen.provenance and d == direction
+
+
+def test_free_link_separator_distinct():
+    phi = _free_link_phi(cross=False)
+    y1 = R.parse_ring(phi.context, "+1*[y]")
+    y2 = R.parse_ring(phi.context, "+2*[y]")
+    res = I.decide_equal_link(y1, y2, phi)
+    assert (res.verdict, res.separator) == ("distinct", "mod2")
+    assert res.values == ((((0, 0), 1),), (((0, 0), 2),))

@@ -2,7 +2,6 @@
 
 import pytest
 
-import selflink as S
 import selflink.indeterminacy as I
 from selflink import ParseError, UnresolvedReference
 from selflink.scenario import execute_query, parse_scenario, print_scenario
@@ -116,13 +115,12 @@ def test_sphere_unlink_shorthand():
     assert len(scn.spheres["s"].points) == 2
 
 
-def test_separator_declaration():
+def test_separator_declaration_is_rejected():
+    # no decision consults a declared separator, so the grammar has none
     text = ("group free x y\n"
             "separator m2 x -> ( 1 0 ) y -> ( 0 1 ) mod ( 2 2 )\n")
-    scn = parse_scenario(text)
-    sep = scn.separators["m2"]
-    assert sep.moduli == (2, 2)
-    assert sep.image(S.parse_word(scn.spec, "x^3")) == (1, 0)
+    with pytest.raises(ParseError, match="line 2: unknown declaration 'separator'"):
+        parse_scenario(text)
 
 
 def test_conjugation_preset():
