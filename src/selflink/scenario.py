@@ -314,18 +314,34 @@ def print_scenario(scn: Scenario) -> str:
         if lt.cross_points:
             line += f" cross {_fmt_points(lt.cross_points)}"
         out.append(line)
+
+    def sphere_names(spheres):
+        return " ".join(next(n for n, s in scn.spheres.items() if s.points == sp.points)
+                        for sp in spheres)
+
     for name, phi in scn.phis.items():
         tor = " ".join(next(n for n, t in scn.traces.items()
                             if L.mu_trace(t) == g.z and t.latitude == g.phi)
                        for g in phi.toroidal)
         line = f"phi {name} knot {phi.knot.label} toroidal {tor}".rstrip()
         if phi.spheres:
-            names = [next(n for n, s in scn.spheres.items() if s.points == sp.points)
-                     for sp in phi.spheres]
-            line += f" spheres {' '.join(names)}"
+            line += f" spheres {sphere_names(phi.spheres)}"
         out.append(line)
     for name, pl in scn.philinks.items():
-        out.append(f"philink {name} knots {pl.knot1.label} {pl.knot2.label}")
+        line = f"philink {name} knots {pl.knot1.label} {pl.knot2.label}"
+        n1 = len(pl.zeta1)
+        for section, gens in (("toroidal1", pl.toroidal[:n1]),
+                              ("toroidal2", pl.toroidal[n1:])):
+            if gens:
+                line += f" {section} " + " ".join(
+                    next(n for n, lt in scn.linktraces.items()
+                         if L.lambda_link(lt) == g.z
+                         and (lt.trace1.latitude, lt.trace2.latitude) == g.parts)
+                    for g in gens)
+        for section, spheres in (("left", pl.spheres_left), ("right", pl.spheres_right)):
+            if spheres:
+                line += f" {section} {sphere_names(spheres)}"
+        out.append(line)
     for q in scn.queries:
         out.append("query " + " ".join(shlex.quote(t) for t in q))
     return "\n".join(out) + "\n"

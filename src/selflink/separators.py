@@ -5,6 +5,12 @@ generated abelian target (free rank plus cyclic factors).  Classes of the
 source coset rings map to exactly canonicalized classes of the target, and
 membership questions in the pushed relation lattice are decided by Smith
 normal form over arbitrary-precision integers.
+
+A `PushedContext` keeps a table of the classes it has computed, which lives
+as long as the context (one separator check of one decision).  On a finite
+target (the `modN` separators) the enumerated orbit of a vector is its whole
+class, so one enumeration fills the table for every member of the orbit; on
+an infinite target only the queried vector is stored.
 """
 
 from __future__ import annotations
@@ -138,10 +144,6 @@ class LatticeQuotient:
     @cached_property
     def _index(self):
         return {b: i for i, b in enumerate(self.basis)}
-
-    @cached_property
-    def snf(self):
-        return smith_normal_form([list(r) for r in self.matrix])
 
     def vectorize(self, coeffs: dict) -> list[int]:
         v = [0] * len(self.basis)
@@ -283,11 +285,21 @@ def _translate_range(sep: Separator, v, g_img, pad=1):
 @dataclass(frozen=True)
 class PushedContext:
     """Image of a ring context under a separator; canonicalizes pushed
-    orbits exactly (the target is abelian, so orbits are short)."""
+    orbits exactly (the target is abelian, so orbits are short).
+
+    Answers are kept in a per-context table from reduced target vectors to
+    classes, filled on demand.  On a finite target the enumerated orbit is
+    the whole class and every member has the same orbit set, so one
+    enumeration answers all of its members.  On an infinite target the
+    enumeration window depends on the queried vector, which alone is
+    stored.
+    """
     sep: Separator
     flavor: str
     gamma_img: tuple | None = None
     delta_img: tuple | None = None
+    _classes: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @classmethod
     def of(cls, sep: Separator, ctx: R.RingContext):
@@ -295,42 +307,50 @@ class PushedContext:
         di = sep.image(ctx.delta) if ctx.delta is not None else None
         return cls(sep, ctx.flavor, gi, di)
 
-    def pushed_class(self, vec) -> tuple | None:
-        """Canonical pushed class of a target vector, None for killed ones."""
+    def _orbit(self, vec) -> list:
+        """Pushed orbit of a reduced vector: {+-w + n*gamma} (coset),
+        w + <gamma, delta> (two-sided), {w, -w} (reduced, conjugacy), within
+        a window around vec on a free coordinate."""
         sep = self.sep
-        vec = sep.reduce(vec)
         flavor = self.flavor
         if flavor == R.PLAIN:
-            return vec
-        kill = flavor in (R.REDUCED, R.COSET, R.CONJUGACY)
-        branches = [vec, sep.reduce(tuple(-x for x in vec))]
+            return [vec]
         if flavor == R.TWO_SIDED:
-            branches = [vec]
-        orbit = []
-        if flavor in (R.REDUCED, R.CONJUGACY):
-            orbit = branches
-        elif flavor == R.COSET:
-            for w in branches:
-                for n in _translate_range(sep, w, self.gamma_img):
-                    orbit.append(sep.reduce(_vec_add(w, self.gamma_img, n)))
-        elif flavor == R.TWO_SIDED:
             pad = 1
             gfree = sum(abs(x) for x, m in zip(self.gamma_img, sep.moduli) if m == 0)
             dfree = sum(abs(x) for x, m in zip(self.delta_img, sep.moduli) if m == 0)
             if gfree and dfree:
                 pad = max(gfree, dfree)
-            for w in branches:
-                for n in _translate_range(sep, w, self.gamma_img, pad):
-                    wn = _vec_add(w, self.gamma_img, n)
-                    for m in _translate_range(sep, sep.reduce(wn), self.delta_img, pad):
-                        orbit.append(sep.reduce(_vec_add(wn, self.delta_img, m)))
+            orbit = []
+            for n in _translate_range(sep, vec, self.gamma_img, pad):
+                wn = _vec_add(vec, self.gamma_img, n)
+                for m in _translate_range(sep, sep.reduce(wn), self.delta_img, pad):
+                    orbit.append(sep.reduce(_vec_add(wn, self.delta_img, m)))
+            return orbit
+        branches = [vec, sep.reduce(tuple(-x for x in vec))]
+        if flavor != R.COSET:
+            return branches
+        return [sep.reduce(_vec_add(w, self.gamma_img, n))
+                for w in branches
+                for n in _translate_range(sep, w, self.gamma_img)]
+
+    def pushed_class(self, vec) -> tuple | None:
+        """Canonical pushed class of a target vector, None for killed ones."""
+        sep = self.sep
+        vec = sep.reduce(vec)
+        if vec in self._classes:
+            return self._classes[vec]
+        orbit = self._orbit(vec)
         zero = (0,) * sep.dim
-        best = min(orbit, key=lambda v: _order_key(sep, v))
-        if kill and zero in orbit:
-            return None
-        if not kill and zero in orbit and flavor == R.TWO_SIDED:
-            return zero
-        return best
+        if zero in orbit and self.flavor in (R.REDUCED, R.COSET, R.CONJUGACY):
+            pk = None
+        elif zero in orbit and self.flavor == R.TWO_SIDED:
+            pk = zero
+        else:
+            pk = min(orbit, key=lambda v: _order_key(sep, v))
+        for member in orbit if sep.target_finite else (vec,):
+            self._classes[member] = pk
+        return pk
 
     def push(self, y: R.RingElement) -> dict:
         """Pushforward of a ring element: sparse vector over pushed classes."""

@@ -293,23 +293,36 @@ def test_monotone_verdicts_across_bounds():
 
 
 def test_equal_certificates_always_replay():
-    rng = random.Random(705)
-    gamma = S.parse_word(FREE2, "x y")
+    """y1 is y2 moved by one or two generators of Phi (the toroidal
+    generator of a trace with double points, or a translate of the unlink
+    sphere), so the decision has to find the moves in the orbit search."""
+    rng = random.Random(706)
+    gamma = S.parse_word(FREE2, "x^2 y")
     k = L.Knot("k", gamma)
-    phi = I.phi_conjugation_only(k)
-    ctx = R.coset_ring(FREE2, gamma)
-    equal_seen = 0
-    for _ in range(150):
+    points = ((1, S.parse_word(FREE2, "x")), (-1, S.parse_word(FREE2, "y x")))
+    sphere = L.sphere_for_unlink_complement(gamma)
+    phi = I.build_phi(k, [L.Trace(k, k, points, gamma)], [sphere])
+    ctx = phi.context
+    draws = 100
+    moved = 0
+    for _ in range(draws):
         y2 = R.from_terms(ctx, [(random_word(rng, FREE2, 3), rng.choice([-1, 1]))
                                 for _ in range(rng.randint(0, 2))])
-        # construct y1 in the orbit of y2 on purpose
-        alpha = S.power(gamma, rng.randint(-2, 2))
-        y1 = R.conj_act(alpha, y2)
+        y1 = y2
+        for _ in range(rng.randint(1, 2)):
+            if rng.random() < 0.5:
+                y1 = I._step(phi.toroidal[0], rng.choice([-1, 1]), y1)
+            else:
+                z = I._sphere_element(ctx, random_word(rng, FREE2, 2), sphere.points)
+                y1 = R.add(y1, z if rng.random() < 0.5 else R.negate(z))
+        if y1 == y2:
+            continue
+        moved += 1
         res = I.decide_equal(y1, y2, phi)
         assert res.verdict == "equal"
+        assert res.certificate.steps
         assert I.replay(res.certificate, y1, y2)
-        equal_seen += 1
-    assert equal_seen == 150
+    assert moved >= 0.8 * draws
 
 
 def test_distinct_separator_recomputes():

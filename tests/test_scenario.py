@@ -2,9 +2,11 @@
 
 import pytest
 
+import selflink as S
 import selflink.indeterminacy as I
+import selflink.linking as L
 from selflink import ParseError, UnresolvedReference
-from selflink.scenario import execute_query, parse_scenario, print_scenario
+from selflink.scenario import Scenario, execute_query, parse_scenario, print_scenario
 
 BASIC = """\
 # a knot in the free group on two letters
@@ -62,6 +64,32 @@ def test_print_parse_round_trip():
     assert set(scn2.traces) == set(scn.traces)
     assert scn2.queries == scn.queries
     # printing is a fixed point
+    assert print_scenario(scn2) == text
+
+
+def test_print_parse_round_trip_of_a_built_link():
+    """A link scenario built in code reprints its toroidal and sphere
+    sections: one toroidal link trace per component, spheres on both sides."""
+    spec = S.free_abelian("x")
+    x, one = S.generator(spec, "x"), S.identity(spec)
+    k1, k2 = L.Knot("k1", S.power(x, 2)), L.Knot("k2", S.power(x, 4))
+    traces = {"a1": L.Trace(k1, k1, (), x), "a2": L.Trace(k2, k2, (), one),
+              "b1": L.Trace(k1, k1, (), one), "b2": L.Trace(k2, k2, (), x)}
+    linktraces = {"lt1": L.LinkTrace(traces["a1"], traces["a2"], ((1, x),)),
+                  "lt2": L.LinkTrace(traces["b1"], traces["b2"], ())}
+    spheres = {"s": L.SphereData("s", ((1, one), (-1, x))),
+               "t": L.SphereData("t", ((1, x), (-1, S.power(x, 3))))}
+    pl = I.build_phi_link(k1, k2, [linktraces["lt1"]], [linktraces["lt2"]],
+                          [spheres["s"]], [spheres["t"]])
+    scn = Scenario(spec, {"k1": k1, "k2": k2}, traces, spheres, linktraces,
+                   philinks={"PL": pl},
+                   queries=[["decide", "+1*[x]", "+2*[x]", "PL"]])
+    text = print_scenario(scn)
+    assert "philink PL knots k1 k2 toroidal1 lt1 toroidal2 lt2 left s right t" in text
+    scn2 = parse_scenario(text)
+    assert scn2.philinks == scn.philinks
+    assert (execute_query(scn2, scn2.queries[0], I.Bounds())
+            == execute_query(scn, scn.queries[0], I.Bounds()))
     assert print_scenario(scn2) == text
 
 

@@ -7,7 +7,7 @@ import pytest
 import selflink as S
 import selflink.cosets as R
 import selflink.separators as SEP
-from conftest import AB1, FREE2, random_word
+from conftest import AB1, FREE2, FXZ, random_word
 
 CASES = 10000
 
@@ -174,6 +174,88 @@ def test_pushed_class_respects_ring_relations(rng):
                     continue
                 assert (pc.pushed_class(sep.image(w))
                         == pc.pushed_class(sep.image(key.representative)))
+
+
+# ---------------------------------------------------------------------------
+# the per-context pushed-class table
+
+SEPARATORS = {
+    "abelianization": SEP.abelianization,
+    "mod4": lambda spec: SEP.cyclic_separator(spec, 4),
+    "mod6": lambda spec: SEP.cyclic_separator(spec, 6),
+}
+
+
+def _all_flavors(spec, coset_gamma, gamma, delta):
+    """The five ring flavors over spec, the two-sided one with gamma != delta."""
+    g, tg, td = (S.parse_word(spec, w) for w in (coset_gamma, gamma, delta))
+    return [R.plain_ring(spec), R.reduced_ring(spec), R.conjugacy_ring(spec),
+            R.coset_ring(spec, g), R.two_sided_ring(spec, tg, td)]
+
+
+def _query_vectors(rng, sep):
+    """Every target vector of a finite target, else a box sample with
+    repeats; shuffled, so most vectors are answered from a table entry that
+    a query of another orbit member wrote."""
+    if sep.target_finite:
+        vecs = sep.target_elements()
+    else:
+        vecs = [tuple(rng.randint(-3, 3) for _ in range(sep.dim)) for _ in range(60)]
+        vecs += vecs[:20]
+    rng.shuffle(vecs)
+    return vecs
+
+
+@pytest.mark.parametrize("sep_name", SEPARATORS)
+@pytest.mark.parametrize("spec, words", [
+    (FREE2, ("x y", "x^2", "y")),
+    (FXZ, ("x y t^2", "x t", "y^2 z")),
+], ids=["free2", "free_times_z"])
+def test_pushed_class_table_matches_fresh_contexts(spec, words, sep_name):
+    """One shared context answers as a fresh context per vector does, and on
+    a finite target its answers are constant on every orbit."""
+    rng = random.Random(602)
+    sep = SEPARATORS[sep_name](spec)
+    for ctx in _all_flavors(spec, *words):
+        shared = SEP.PushedContext.of(sep, ctx)
+        vecs = _query_vectors(rng, sep)
+        got = {v: shared.pushed_class(v) for v in vecs}
+        for v in vecs:
+            assert got[v] == SEP.PushedContext.of(sep, ctx).pushed_class(v)
+        if not sep.target_finite:
+            continue
+        moves = [img for img in (shared.gamma_img, shared.delta_img) if img]
+        moves += [tuple(-x for x in img) for img in moves]
+        one_sided = ctx.flavor in (R.REDUCED, R.COSET, R.CONJUGACY)
+        for v in vecs:
+            assert shared.pushed_class(SEP._vec_add(v, sep.moduli)) == got[v]
+            for m in moves:
+                assert got[sep.reduce(SEP._vec_add(v, m))] == got[v]
+            if one_sided:
+                assert got[sep.reduce(tuple(-x for x in v))] == got[v]
+
+
+@pytest.mark.parametrize("sep_name", SEPARATORS)
+def test_pushed_class_tables_are_per_context(sep_name):
+    """Contexts on one separator with different gamma images keep their own
+    answers, whichever of them filled its table first."""
+    rng = random.Random(603)
+    sep = SEPARATORS[sep_name](FREE2)
+    pairs = [
+        (R.coset_ring(FREE2, S.parse_word(FREE2, "x y")),
+         R.coset_ring(FREE2, S.parse_word(FREE2, "x^2"))),
+        (R.two_sided_ring(FREE2, S.parse_word(FREE2, "x"), S.parse_word(FREE2, "y")),
+         R.two_sided_ring(FREE2, S.parse_word(FREE2, "x^2"), S.parse_word(FREE2, "y"))),
+    ]
+    for ctx_a, ctx_b in pairs:
+        a, b = SEP.PushedContext.of(sep, ctx_a), SEP.PushedContext.of(sep, ctx_b)
+        assert a.gamma_img != b.gamma_img
+        vecs = _query_vectors(rng, sep)
+        got_a = {v: a.pushed_class(v) for v in vecs}
+        got_b = {v: b.pushed_class(v) for v in vecs}
+        for v in vecs:
+            assert got_b[v] == SEP.PushedContext.of(sep, ctx_b).pushed_class(v)
+        assert any(got_a[v] != got_b[v] for v in vecs)
 
 
 def test_push_forward_is_additive(rng):
