@@ -40,6 +40,8 @@ def _build_parser():
                    help="word-length cap for sphere translates")
     p.add_argument("--support-len", type=int, default=I.Bounds.support_len,
                    help="letter cap per class key during the search")
+    p.add_argument("--max-states", type=int, default=I.Bounds.max_states,
+                   help="visited-state cap per search direction")
     p.add_argument("--json", action="store_true", help="structured JSON report")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 if any verdict is Unknown")
@@ -192,7 +194,12 @@ def run_examples(bounds: I.Bounds):
 def main(argv=None) -> int:
     opts = _build_parser().parse_args(argv)
     bounds = I.Bounds(depth=opts.depth, translate_len=opts.translate_len,
-                      support_len=opts.support_len)
+                      support_len=opts.support_len, max_states=opts.max_states)
+    for name, value in bounds.to_record().items():
+        if value < 0:
+            print(f"error: --{name.replace('_', '-')} must be non-negative, "
+                  f"got {value}", file=sys.stderr)
+            return 1
     t0 = time.perf_counter()
     report = {"schema": SCHEMA_VERSION, "command": opts.command,
               "args": list(opts.args), "bounds": bounds.to_record(),

@@ -18,9 +18,11 @@ e.g. ``+1*[x] -1*[x y]``.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 
 from . import groups as G
 from .errors import NotInCentralizer, ParseError, SpecMismatch
@@ -48,6 +50,14 @@ class RingContext:
         if self.flavor == TWO_SIDED:
             return f"two_sided[{G.format_word(self.gamma)}; {G.format_word(self.delta)}]"
         return self.flavor
+
+    @cached_property
+    def _orbit_rule(self):
+        """The map from a candidate list to the shortlex-least element of
+        its coset or two-sided orbit, chosen once per context by
+        _choose_orbit_rule."""
+        right = self.gamma if self.flavor == COSET else self.delta
+        return _choose_orbit_rule(self.spec, self.gamma, right)
 
 
 def plain_ring(spec: G.GroupSpec) -> RingContext:
@@ -103,9 +113,13 @@ def _power_table(elem: G.GroupElement, bound: int):
 def _orbit_min(spec, candidates, left, right):
     """Shortlex-least element of {left^n c right^m} by iterative tightening.
 
-    The search bound per side is ceil((|g| + |best|)/|side|) + 2, widened by
-    the other side's length for abelian two-sided orbits where the two
-    translation directions can nearly cancel.  Validated against a
+    This is the general fallback for the orbits that _choose_orbit_rule
+    has no closed form for (free products, free abelian groups, free x Z
+    sides other than central powers, free-group sides that are not
+    cyclically reduced) and the oracle the closed forms are tested
+    against.  The search bound per side is ceil((|g| + |best|)/|side|) + 2,
+    widened by the other side's length for abelian two-sided orbits where
+    the two translation directions can nearly cancel.  Validated against a
     brute-force BFS oracle in the test suite.
     """
     use_left = left is not None and not G.is_identity(left)
@@ -176,6 +190,186 @@ def _orbit_min(spec, candidates, left, right):
                         best, key_best = cand, k
 
 
+# Closed forms.  Free-group words are handled as tuples of shortlex codes,
+# 2i for generator i and 2i + 1 for its inverse (the codes shortlex_key
+# compares), so a code and its inverse differ in the last bit.
+
+
+def _inverse_codes(w):
+    return tuple(c ^ 1 for c in reversed(w))
+
+
+def _seam(a, b):
+    """The reduced product of two reduced code tuples: cancel at the seam."""
+    k, n = 0, min(len(a), len(b))
+    while k < n and a[-1 - k] == b[k] ^ 1:
+        k += 1
+    return a[:len(a) - k] + b[k:]
+
+
+def _from_codes(spec, w):
+    """The element spelled by a reduced code tuple, without renormalizing."""
+    sylls = []
+    for c, run in itertools.groupby(w):
+        n = sum(1 for _ in run)
+        sylls.append((c >> 1, -n if c & 1 else n))
+    return G.GroupElement(spec, tuple(sylls))
+
+
+def _primitive_root(w):
+    n = len(w)
+    return next(w[:d] for d in range(1, n + 1) if n % d == 0 and w[:d] * (n // d) == w)
+
+
+def _common_root_length(a, b):
+    """The length of the maximal roots of the cyclically reduced code tuples
+    a and b when those roots are conjugate up to inversion (some conjugate
+    of a power of a is a power of b), else 0."""
+    ra, rb = _primitive_root(a), _primitive_root(b)
+    if len(ra) == len(rb) and any(r[i:] + r[:i] == rb for r in (ra, _inverse_codes(ra))
+                                  for i in range(len(r))):
+        return len(ra)
+    return 0
+
+
+def _free_side(s):
+    """Codes of a side of a free-group orbit: () for a trivial side, None
+    when s is not cyclically reduced."""
+    if G.is_identity(s):
+        return ()
+    w = G.shortlex_key(s)[1]
+    return None if w[0] == w[-1] ^ 1 else w
+
+
+def _periods(w):
+    return (w, _inverse_codes(w)) if w else ()
+
+
+def _powers(w, reach):
+    """Codes of w^n for |n| <= reach; w is cyclically reduced, so w^n is
+    w repeated."""
+    if not w:
+        return ((),)
+    v = _inverse_codes(w)
+    return tuple(v * n for n in range(reach, 0, -1)) + tuple(w * n for n in range(reach + 1))
+
+
+def _free_orbit_min(spec, left_periods, right_periods, left_powers,
+                    right_powers, candidates):
+    """Shortlex-least element of {left^n c right^m} in a free group.
+
+    The periods are the codes of left^+-1 and right^+-1.  Each candidate
+    loses the most whole periods of left^+-1 that prefix it and then of
+    right^+-1 that end it, in one pass each; at most one sign applies per
+    side, because a cyclically reduced word and its inverse start with
+    different letters.  The least element is left^n core right^m for some
+    power codes in left_powers and right_powers, which _free_windows
+    sizes.
+    """
+    best = None
+    for cand in candidates:
+        w = G.shortlex_key(cand)[1]
+        s, e = 0, len(w)
+        for p in left_periods:
+            while w[s:s + len(p)] == p:
+                s += len(p)
+        for p in right_periods:
+            while e - s >= len(p) and w[e - len(p):e] == p:
+                e -= len(p)
+        core = w[s:e]
+        for a in left_powers:
+            head = _seam(a, core)
+            for b in right_powers:
+                word = _seam(head, b)
+                key = (len(word), word)
+                if best is None or key < best:
+                    best = key
+    return _from_codes(spec, best[1])
+
+
+def _central_exponent(spec, s):
+    """a when s = t^a for the central generator t (0 for s = 1), else None."""
+    sylls = s.syllables
+    if not sylls:
+        return 0
+    if len(sylls) == 1 and sylls[0][0] == spec.central_index:
+        return sylls[0][1]
+    return None
+
+
+def _central_orbit_min(spec, k, candidates):
+    """Shortlex-least element of {u t^(c + kn)} in free x Z with t central:
+    u t^c' with c' = c mod k of least absolute value, the positive one on a
+    tie."""
+    t = spec.central_index
+    best = None
+    for cand in candidates:
+        sylls = cand.syllables
+        c = sylls[-1][1] if sylls and sylls[-1][0] == t else 0
+        free_part = sylls[:-1] if c else sylls
+        r = c % k
+        c = r if 2 * r <= k else r - k
+        rep = G.GroupElement(spec, free_part + (((t, c),) if c else ()))
+        if best is None or G.shortlex_key(rep) < G.shortlex_key(best):
+            best = rep
+    return best
+
+
+def _free_windows(a, b):
+    """Codes of left^n and right^m over the ranges of n and m that hold
+    the least element of {left^n core right^m}, for the codes a and b of
+    cyclically reduced sides and a peeled core.
+
+    The least element is shortest, so its reduced word neither starts with
+    left^+-1 nor ends with right^+-1.  Say n > 0.  Of the n|a| letters of
+    left^n, fewer than |a| survive; fewer than |a| cancel against the core
+    (else the core would start with left^-1); and d cancel against right^m,
+    where the cancelled word has periods |a| and |b|.  When the sides'
+    maximal roots are not conjugate up to inversion, Fine and Wilf's
+    theorem gives d <= |a| + |b| - 2, so n <= (3|a| + |b| - 4) // |a|.
+    When both sides generate the same subgroup, d < |a| (no nontrivial
+    element of a free group is conjugate to its inverse) unless the core
+    is a power of their root, and |n| <= 2 covers both cases.  When the
+    roots are conjugate but the subgroups differ, as for x^7 and x^9, the
+    orbit of a core c with c^-1 left c commensurable with right is
+    c rho^(hZ), rho the root of right = rho^q and h | q; its least element
+    is c rho^j with |j| < 2q, which some n with |n| <= q/h and m with
+    |m| <= 2 + |left|/|rho| reach.  Otherwise d < |rho| and the first
+    bound holds.
+    """
+    if not a or not b or set(_periods(a)) == set(_periods(b)):
+        reach_a = reach_b = 2
+    else:
+        reach_a = max(2, (3 * len(a) + len(b) - 4) // len(a))
+        reach_b = max(2, (3 * len(b) + len(a) - 4) // len(b))
+        root = _common_root_length(a, b)
+        if root:
+            reach_a = max(reach_a, len(b) // root + 2)
+            reach_b = max(reach_b, len(a) // root + 2)
+    return _powers(a, reach_a), _powers(b, reach_b)
+
+
+def _choose_orbit_rule(spec, left, right):
+    """The function that maps a candidate list to the shortlex-least element
+    of {left^n c right^m}: a closed form where one is exact, else
+    _orbit_min.
+
+    Free groups with cyclically reduced sides: peel, then scan the windows
+    of _free_windows.  Free x Z with both sides central, t^a and t^b: the
+    central exponent is only defined mod gcd(a, b).
+    """
+    if spec.kind == G.FREE:
+        a, b = _free_side(left), _free_side(right)
+        if a is not None and b is not None:
+            return partial(_free_orbit_min, spec, _periods(a), _periods(b),
+                           *_free_windows(a, b))
+    if spec.kind == G.FREE_TIMES_Z:
+        a, b = _central_exponent(spec, left), _central_exponent(spec, right)
+        if a is not None and b is not None:
+            return partial(_central_orbit_min, spec, math.gcd(a, b))
+    return partial(_orbit_min, spec, left=left, right=right)
+
+
 def _cyclic_core(spec, g):
     """Conjugacy-minimal core of g: g is conjugate to the returned element."""
     if spec.kind == G.FREE:
@@ -227,12 +421,11 @@ def _canonicalize_cached(ctx: RingContext, g: G.GroupElement) -> CosetKey | None
             return None
         return CosetKey(_conjugacy_min(ctx.spec, g), ctx)
     if ctx.flavor == COSET:
-        rep = _orbit_min(ctx.spec, [g, G.invert(g)], ctx.gamma, ctx.gamma)
+        rep = ctx._orbit_rule([g, G.invert(g)])
         if G.is_identity(rep):
             return None
         return CosetKey(rep, ctx)
-    rep = _orbit_min(ctx.spec, [g], ctx.gamma, ctx.delta)
-    return CosetKey(rep, ctx)
+    return CosetKey(ctx._orbit_rule([g]), ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -286,11 +286,16 @@ def commutes(a: GroupElement, b: GroupElement) -> bool:
 
 
 def power(a: GroupElement, n: int) -> GroupElement:
+    """a^n by repeated squaring: O(log |n|) multiplications."""
     if n < 0:
-        return power(invert(a), -n)
+        a, n = invert(a), -n
     out = identity(a.spec)
-    for _ in range(n):
-        out = multiply(out, a)
+    while n:
+        if n & 1:
+            out = multiply(out, a)
+        n >>= 1
+        if n:
+            a = multiply(a, a)
     return out
 
 

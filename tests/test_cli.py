@@ -111,7 +111,17 @@ def test_parse_error_is_an_error(tmp_path):
 
 def test_bounds_flags_are_threaded(scn_file, capsys):
     assert main(["--json", "--depth", "3", "--translate-len", "2",
+                 "--support-len", "9", "--max-states", "700",
                  "decide", scn_file, "+1*[x]", "0", "P"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["bounds"]["depth"] == 3
-    assert rep["bounds"]["translate_len"] == 2
+    assert rep["bounds"] == {"depth": 3, "translate_len": 2,
+                             "support_len": 9, "max_states": 700}
+
+
+@pytest.mark.parametrize("flag", ["--depth", "--translate-len",
+                                  "--support-len", "--max-states"])
+def test_negative_bounds_are_rejected(flag, scn_file, capsys):
+    assert main([flag, "-1", "run", scn_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be non-negative")

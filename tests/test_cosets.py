@@ -3,6 +3,7 @@ ring arithmetic laws, flavor degeneracies, and serialization."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -124,6 +125,14 @@ def _oracle_contexts():
                          S.parse_word(FREE2, "y")),
         R.coset_ring(AB1, S.parse_word(AB1, "x^3")),
         R.coset_ring(FXZ, S.parse_word(FXZ, "x y z")),
+        R.coset_ring(FXZ, S.parse_word(FXZ, "t")),
+        R.coset_ring(FXZ, S.parse_word(FXZ, "t^3")),
+        R.two_sided_ring(FXZ, S.parse_word(FXZ, "t^4"),
+                         S.parse_word(FXZ, "t^-6")),
+        R.two_sided_ring(FREE2, S.parse_word(FREE2, "x y"),
+                         S.parse_word(FREE2, "x^2 y")),
+        R.coset_ring(FREE2, S.parse_word(FREE2, "x y x y")),
+        R.coset_ring(FREE2, S.parse_word(FREE2, "y x y^-1")),
     ]
 
 
@@ -137,7 +146,8 @@ def test_canonicalize_exhaustive_oracle_short_words():
 
 def test_canonicalize_randomized_oracle_length_8():
     rng = random.Random(411)
-    counts = [1000, 1000, 3000, 2000, 800, 2000, 600]
+    counts = [1000, 1000, 3000, 2000, 800, 2000, 600, 500, 500, 400, 400, 400,
+              200]
     contexts = _oracle_contexts()
     assert len(counts) == len(contexts)
     total = 0
@@ -147,6 +157,63 @@ def test_canonicalize_randomized_oracle_length_8():
             check_against_oracle(ctx, w)
             total += 1
     assert total >= 10000
+
+
+# (gamma, delta) pairs for the free-group closed form: a proper power on
+# both sides, sides generating the same subgroup, one trivial side,
+# unrelated sides, and y^-3 x against y, whose least elements can need
+# delta^3
+_CLOSED_FORM_PAIRS = [("x y x y", "x y x y"), ("x y", "y^-1 x^-1"),
+                      ("1", "x^2 y"), ("x y", "x^2 y"), ("y^-3 x", "y")]
+
+
+def test_free_closed_form_matches_orbit_min_exhaustively():
+    words = _enumerate_free2(6)
+    assert len(words) == 1457
+    for a, b in _CLOSED_FORM_PAIRS:
+        left, right = S.parse_word(FREE2, a), S.parse_word(FREE2, b)
+        rule = R._choose_orbit_rule(FREE2, left, right)
+        assert rule.func is R._free_orbit_min, (a, b)
+        # the words are closed under inversion, so the oracle's value for the
+        # candidates [w, w^-1] is the lesser of two single-word values
+        want = {w: R._orbit_min(FREE2, [w], left, right) for w in words}
+        for w in words:
+            assert rule([w]) == want[w], (a, b, S.format_word(w))
+            both = S.shortlex_min([want[w], want[S.invert(w)]])
+            assert rule([w, S.invert(w)]) == both, (a, b, S.format_word(w))
+
+
+def test_conjugate_root_sides_match_the_oracle():
+    # sides whose roots are conjugate but generate different subgroups:
+    # x^-28 . x . x^27 = 1 needs four powers of x^7, and _orbit_min's
+    # windows miss it
+    ctx = R.two_sided_ring(FREE2, S.parse_word(FREE2, "x^7"),
+                           S.parse_word(FREE2, "x^9"))
+    assert S.is_identity(R.canonicalize(ctx, S.parse_word(FREE2, "x")).representative)
+    words = _enumerate_free2(4)
+    for a, b in [("x^7", "x^9"), ("x y", "y x"), ("x y x y", "y x"),
+                 ("x^2 y", "x y x")]:
+        ctx = R.two_sided_ring(FREE2, S.parse_word(FREE2, a),
+                               S.parse_word(FREE2, b))
+        for w in words:
+            check_against_oracle(ctx, w)
+
+
+@pytest.mark.parametrize("gamma, word, want", [
+    ("x y", "x^1000 y x^-1000", "x^1000 y x^-1000"),
+    ("x", "x^1000 y x^-1000", "y"),
+    ("x y", " ".join(["x y"] * 700) + " x^3 y^-2", "x^3 y^-2"),
+])
+def test_large_exponents_canonicalize_quickly(gamma, word, want):
+    ctx = R.coset_ring(FREE2, S.parse_word(FREE2, gamma))
+    g = S.parse_word(FREE2, word)
+    R._canonicalize_cached.cache_clear()
+    t0 = time.perf_counter()
+    key = R.canonicalize(ctx, g)
+    assert time.perf_counter() - t0 < 0.1
+    assert S.format_word(key.representative) == want
+    for v in _orbit_moves(ctx, g):
+        assert R.canonicalize(ctx, v) == key
 
 
 def test_canonicalize_local_move_invariance():

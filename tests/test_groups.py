@@ -69,6 +69,18 @@ def test_power_and_conjugate_laws(rng):
             assert S.conjugate(a, by) == S.multiply(S.multiply(by, a), S.invert(by))
 
 
+def test_power_matches_repeated_multiplication(rng):
+    for spec in ALL_SPECS + [PROD]:
+        for _ in range(10):
+            a = random_word(rng, spec, 5)
+            for n in range(-20, 21):
+                base = a if n >= 0 else S.invert(a)
+                want = S.identity(spec)
+                for _ in range(abs(n)):
+                    want = S.multiply(want, base)
+                assert S.power(a, n) == want
+
+
 def test_shortlex_is_a_total_order_refining_length(rng):
     seen = set()
     for _ in range(500):
