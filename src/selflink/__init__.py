@@ -39,8 +39,8 @@ from .linking import (Knot, LinkTrace, SphereData, Trace, compose, connect_sum,
 from .scenario import Scenario, execute_query, parse_scenario, print_scenario
 from .separators import (LatticeQuotient, PushedContext, Separator,
                          abelianization, cyclic_separator,
-                         default_separator_suite, lattice_member,
-                         lattice_solve, push_forward, quotient_decide,
-                         smith_normal_form)
+                         default_separator_suite, hermite_form,
+                         lattice_member, lattice_solve, push_forward,
+                         quotient_decide)
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from . import indeterminacy as I
 from . import scenario as SC
 from .errors import SelfLinkError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _build_parser():

@@ -118,9 +118,11 @@ def _orbit_min(spec, candidates, left, right):
     sides other than central powers, free-group sides that are not
     cyclically reduced) and the oracle the closed forms are tested
     against.  The search bound per side is ceil((|g| + |best|)/|side|) + 2,
-    widened by the other side's length for abelian two-sided orbits where
-    the two translation directions can nearly cancel.  Validated against a
-    brute-force BFS oracle in the test suite.
+    widened by the longer side's length for two-sided orbits whose sides
+    differ but commute with each other and with the candidates (t against
+    x t^7 and x t^9 in free x Z, z against z^7 and z^9 in a free product),
+    where the two translation directions can nearly cancel.
+    Validated against a brute-force BFS oracle in the test suite.
     """
     use_left = left is not None and not G.is_identity(left)
     use_right = right is not None and not G.is_identity(right)
@@ -157,13 +159,16 @@ def _orbit_min(spec, candidates, left, right):
                     cur, key_cur, improved = nxt, k, True
         if key_cur < G.shortlex_key(best):
             best = cur
-    abelian_pad = 1
-    if spec.kind == G.FREE_ABELIAN and use_left and use_right and left != right:
-        abelian_pad = max(1, left.length(), right.length())
+    # distinct sides that commute with each other and with the candidates:
+    # left^n c right^m = c left^n right^m, and the powers can nearly cancel
+    pad = 1
+    if (use_left and use_right and left != right and G.commutes(left, right)
+            and all(G.commutes(left, c) and G.commutes(right, c) for c in candidates)):
+        pad = max(1, left.length(), right.length())
     seen_bounds = None
     while True:
-        bl = ((glen + best.length()) // left.length() + 3) * abelian_pad if use_left else 0
-        br = ((glen + best.length()) // right.length() + 3) * abelian_pad if use_right else 0
+        bl = ((glen + best.length()) // left.length() + 3) * pad if use_left else 0
+        br = ((glen + best.length()) // right.length() + 3) * pad if use_right else 0
         if seen_bounds == (bl, br):
             return best
         seen_bounds = (bl, br)

@@ -80,6 +80,11 @@ class PhiLinkGen:
     def parts(self):
         return (self.phi, self.psi)
 
+    def inverse(self) -> "PhiLinkGen":
+        phi_inv, psi_inv = G.invert(self.phi), G.invert(self.psi)
+        return PhiLinkGen(R.negate(R.biact(phi_inv, psi_inv, self.z)), phi_inv,
+                          psi_inv, f"inv({self.provenance})")
+
 
 def _gen(z, parts, provenance):
     """The generator (z, parts) of the shape that the number of parts gives."""
@@ -229,11 +234,38 @@ def act_link_inverse(gen: PhiLinkGen, y: R.RingElement) -> R.RingElement:
     return R.biact(phi_inv, psi_inv, R.add(y, R.negate(gen.z)))
 
 
-def _step(gen, d: int, y: R.RingElement) -> R.RingElement:
-    """gen (d = +1) or its inverse (d = -1) applied to y."""
+def _compose(g, h):
+    """The generator g.h (h acts first): (z, p).(w, q) = (z + p.w, p q)."""
+    return _gen(R.add(g.z, _outer(g.parts, h.z)),
+                tuple(G.multiply(a, b) for a, b in zip(g.parts, h.parts)),
+                g.provenance)
+
+
+def _power(gen, k: int):
+    """gen^k by doubling, (z, p)^2 = (z + p.z, p^2): O(log |k|) ring
+    operations, from the inverse generator for negative k."""
+    spec = gen.z.context.spec
+    acc = _gen(R.zero(gen.z.context), tuple(G.identity(spec) for _ in gen.parts),
+               gen.provenance)
+    base = gen if k > 0 else gen.inverse()
+    k = abs(k)
+    while k:
+        if k & 1:
+            acc = _compose(base, acc)
+        k >>= 1
+        if k:
+            base = _compose(base, base)
+    return acc
+
+
+def _step(gen, k: int, y: R.RingElement) -> R.RingElement:
+    """gen^k applied to y: one action of gen (k = 1) or of its inverse
+    (k = -1), else one action of the power gen^k."""
+    if abs(k) != 1:
+        gen, k = _power(gen, k), 1
     if isinstance(gen, PhiLinkGen):
-        return act_link(gen, y) if d > 0 else act_link_inverse(gen, y)
-    return act(gen, y) if d > 0 else act_inverse(gen, y)
+        return act_link(gen, y) if k > 0 else act_link_inverse(gen, y)
+    return act(gen, y) if k > 0 else act_inverse(gen, y)
 
 
 def _outer(c: tuple, y: R.RingElement) -> R.RingElement:
@@ -255,14 +287,16 @@ def is_spherical_presented(phi: PhiGroup | PhiLinkGroup) -> bool:
 @dataclass(frozen=True)
 class Certificate:
     """Replayable witness: y1 = c . (g_n^e_n ... g_1^e_1 . y2), steps
-    applied left to right, the outer conjugator c last."""
-    steps: tuple  # of (PhiGen | PhiLinkGen, +1 | -1)
+    applied left to right, the outer conjugator c last.  An exponent is a
+    non-zero integer: the orbit search makes unit steps (e = +-1), the
+    abelian lattice decision one step per generator it uses."""
+    steps: tuple  # of (PhiGen | PhiLinkGen, e)
     conjugator: tuple  # (alpha,) or (alpha, beta)
 
     def to_record(self):
         return {
             "steps": [{"gen": g.provenance, "z": R.format_ring(g.z),
-                       "direction": d} for g, d in self.steps],
+                       "exponent": e} for g, e in self.steps],
             "conjugator": [G.format_word(w) for w in self.conjugator],
         }
 
@@ -290,8 +324,8 @@ class DecisionResult:
 def replay(cert: Certificate, y1: R.RingElement, y2: R.RingElement) -> bool:
     """Exact check that the certificate carries y2 to y1."""
     y = y2
-    for gen, d in cert.steps:
-        y = _step(gen, d, y)
+    for gen, e in cert.steps:
+        y = _step(gen, e, y)
     return _outer(cert.conjugator, y) == y1
 
 
@@ -399,7 +433,9 @@ def _abelian_lattice(phi):
 def _decide_abelian(y1, y2, phi) -> DecisionResult:
     """Total decision on abelian specs: the orbit of y2 is the union over
     the scanned outer conjugates of y2 of their lattice translates;
-    membership is a Smith-normal-form computation over the class keys."""
+    membership is a Hermite-normal-form computation over the class keys
+    (`separators.lattice_member`), whose size-reduced coefficients become
+    the exponents of the certificate, one step per generator used."""
     gens, outer = _abelian_lattice(phi)
     relations = [dict(g.z.terms) for g in gens]
     for c in outer:
@@ -410,11 +446,9 @@ def _decide_abelian(y1, y2, phi) -> DecisionResult:
         # replay applies the steps to y2 and c last, which moves the
         # offsets too; undo c on each generator used to compensate
         c_inv = tuple(G.invert(a) for a in c)
-        steps = []
-        for g, k in zip(gens, coeffs):
-            if k:
-                steps.extend([(replace(g, z=_outer(c_inv, g.z)), 1 if k > 0 else -1)] * abs(k))
-        return DecisionResult("equal", certificate=Certificate(tuple(steps), c))
+        steps = tuple((replace(g, z=_outer(c_inv, g.z)), k)
+                      for g, k in zip(gens, coeffs) if k)
+        return DecisionResult("equal", certificate=Certificate(steps, c))
     return DecisionResult("distinct", separator="abelian-lattice",
                           values=(R.format_ring(y1), R.format_ring(y2)))
 

@@ -3,8 +3,9 @@
 A separator pushes group elements through a homomorphism onto a finitely
 generated abelian target (free rank plus cyclic factors).  Classes of the
 source coset rings map to exactly canonicalized classes of the target, and
-membership questions in the pushed relation lattice are decided by Smith
-normal form over arbitrary-precision integers.
+membership questions in the pushed relation lattice are decided by a row
+Hermite normal form over arbitrary-precision integers, which also yields
+small integer combinations (`lattice_solve`, `lattice_member`).
 
 A `PushedContext` keeps a table of the classes it has computed, which lives
 as long as the context (one separator check of one decision).  On a finite
@@ -15,6 +16,7 @@ an infinite target only the queried vector is stored.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,120 +26,131 @@ from . import groups as G
 from .errors import DimensionMismatch, SpecMismatch
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Hermite normal form
 
 
-def _identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _lead(row):
+    """Column of the first nonzero entry, or None for a zero row."""
+    for j, a in enumerate(row):
+        if a:
+            return j
+    return None
 
 
-def smith_normal_form(A):
-    """Return (U, D, V) with U*A*V = D, U and V unimodular, and the
-    diagonal of D a nonnegative divisibility chain d1 | d2 | ..."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    D = [list(r) for r in A]
-    U = _identity_matrix(rows)
-    V = _identity_matrix(cols)
+def _sub(row, pivot_row, q):
+    """row - q * pivot_row."""
+    return [a - q * b for a, b in zip(row, pivot_row)]
 
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
 
-    def swap_cols(i, j):
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
+def _xgcd(a, b):
+    """(g, x, y) with a x + b y = g = gcd(a, b) > 0, for b != 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, (a, b) = a // b, (b, a % b)
+        x0, x1, y0, y1 = x1, x0 - q * x1, y1, y0 - q * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
 
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
 
-    def add_col(src, dst, q):
-        for r in D:
-            r[dst] += q * r[src]
-        for r in V:
-            r[dst] += q * r[src]
+def _insert(basis, row):
+    """Add row to the lattice whose Hermite basis is {pivot column: row}.
 
-    def negate_row(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        # find a pivot in the remaining block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if D[i][j] and (pivot is None or abs(D[i][j]) < abs(D[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    The row is reduced down the pivots; where a pivot does not divide its
+    entry, a unimodular 2 x 2 step puts their gcd in the pivot row and
+    carries on with a row that is zero there.  A left-over row becomes a
+    new pivot.  Returns True iff the lattice grew (row was not a member);
+    the entries above every pivot are then reduced into [0, pivot) again,
+    which keeps them from growing from one insertion to the next.
+    """
+    grew = False
+    col = _lead(row)
+    while col is not None:
+        p = basis.get(col)
+        if p is None:
+            basis[col] = row if row[col] > 0 else [-a for a in row]
+            grew = True
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            done = True
-            for i in range(t + 1, rows):
-                if D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    add_row(t, i, -q)
-                    if D[i][t]:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, cols):
-                if D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    add_col(t, j, -q)
-                    if D[t][j]:
-                        swap_cols(t, j)
-                        done = False
-            if done:
-                # pivot must divide every remaining entry
-                offender = None
-                for i in range(t + 1, rows):
-                    for j in range(t + 1, cols):
-                        if D[i][j] % D[t][t]:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                add_row(offender, t, 1)
-        if D[t][t] < 0:
-            negate_row(t)
-        t += 1
-    return U, D, V
+        if row[col] % p[col]:
+            g, x, y = _xgcd(p[col], row[col])
+            basis[col], row = ([x * a + y * b for a, b in zip(p, row)],
+                               [(row[col] // g) * a - (p[col] // g) * b
+                                for a, b in zip(p, row)])
+            grew = True
+        else:
+            row = _sub(row, p, row[col] // p[col])
+        col = _lead(row)
+    if grew:
+        cols = sorted(basis)
+        for j, cj in enumerate(cols):
+            for ci in cols[:j]:
+                q = basis[ci][cj] // basis[cj][cj]
+                if q:
+                    basis[ci] = _sub(basis[ci], basis[cj], q)
+    return grew
+
+
+def hermite_form(A):
+    """Return (H, U) with U*A = H and U unimodular, for an m x n matrix A.
+
+    [H | U] is the row Hermite normal form of [A | I]: every row starts
+    with a positive pivot to the right of the previous row's pivot, and
+    the entries above a pivot lie in [0, pivot).  So the nonzero rows of H
+    are the Hermite normal form of the row lattice of A (they come first),
+    and the rows of U beside the zero rows of H are an echelon basis of
+    the left kernel of A.  The rows of [A | I] are inserted one at a time.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    basis = {}
+    for i, r in enumerate(A):
+        _insert(basis, list(r) + [int(i == j) for j in range(m)])
+    rows = [basis[c] for c in sorted(basis)]
+    return [r[:n] for r in rows], [r[n:] for r in rows]
 
 
 def lattice_solve(A, v):
-    """Integer coefficients c with A*c = v, or None.  A is rows x cols."""
+    """Integer coefficients c with A*c = v, or None.  A is rows x cols.
+
+    The columns of A are the generators.  Those that enlarge the lattice
+    spanned by the ones before them are kept, in order; they span the
+    same lattice, and its Hermite basis decides membership.  A solution
+    on the kept generators is read off their `hermite_form` and then
+    size-reduced against its kernel rows, which leaves every kernel pivot
+    coordinate in the centered range of its pivot and so keeps the
+    coefficients small.  A skipped generator gets coefficient 0.
+    """
     rows = len(A)
     cols = len(A[0]) if rows else 0
     if len(v) != rows:
         raise DimensionMismatch("vector length does not match the matrix")
-    if cols == 0:
-        return [] if all(x == 0 for x in v) else None
-    U, D, V = smith_normal_form(A)
-    w = [sum(U[i][j] * v[j] for j in range(rows)) for i in range(rows)]
-    z = [0] * cols
-    for i in range(rows):
-        d = D[i][i] if i < cols else 0
-        if d:
-            if w[i] % d:
-                return None
-            z[i] = w[i] // d
-        elif w[i]:
-            return None
-    return [sum(V[i][j] * z[j] for j in range(cols)) for i in range(cols)]
+    if not any(v):
+        return [0] * cols
+    basis = {}
+    kept = [j for j, g in enumerate(zip(*A)) if _insert(basis, list(g))]
+    if _insert(dict(basis), list(v)):
+        return None
+    H, U = hermite_form([[row[j] for row in A] for j in kept])
+    rank = sum(1 for h in H if any(h))
+    rest = list(v)
+    c = [0] * len(kept)
+    for h, u in zip(H[:rank], U):
+        col = _lead(h)
+        q = rest[col] // h[col]
+        rest = _sub(rest, h, q)
+        c = _sub(c, u, -q)
+    for u in U[rank:]:                      # size-reduce against the kernel
+        col = _lead(u)
+        c = _sub(c, u, (2 * c[col] + u[col]) // (2 * u[col]))
+    out = [0] * cols
+    for j, k in zip(kept, c):
+        out[j] = k
+    return out
 
 
 @dataclass(frozen=True)
 class LatticeQuotient:
     """Ambient basis plus a relation matrix whose columns span the pushed
-    relation differences; membership is decided exactly by SNF."""
+    relation differences; membership is decided exactly by
+    `lattice_solve`."""
     basis: tuple
     matrix: tuple[tuple[int, ...], ...]  # rows indexed like basis
 
@@ -155,20 +168,14 @@ class LatticeQuotient:
 
     @classmethod
     def from_relations(cls, relations, extra_keys=()):
-        keys = []
-        seen = set()
-        for rel in relations:
-            for k in rel:
-                if k not in seen:
-                    seen.add(k)
-                    keys.append(k)
-        for k in extra_keys:
-            if k not in seen:
-                seen.add(k)
-                keys.append(k)
+        keys = dict.fromkeys(itertools.chain(*relations, extra_keys))
         keys = tuple(sorted(keys, key=repr))  # keys need not be mutually orderable
-        matrix = tuple(tuple(rel.get(k, 0) for rel in relations) for k in keys)
-        return cls(keys, matrix)
+        index = {k: i for i, k in enumerate(keys)}
+        matrix = [[0] * len(relations) for _ in keys]
+        for j, rel in enumerate(relations):
+            for k, c in rel.items():
+                matrix[index[k]][j] = c
+        return cls(keys, tuple(map(tuple, matrix)))
 
 
 def quotient_decide(lq: LatticeQuotient, v1, v2):

@@ -288,7 +288,7 @@ def test_criterion_7_property_suites():
             ("x", "y", "x y", "y^-1", "x^2", "x y^-1", "y x")]
     from test_cosets import check_against_oracle
     from test_indeterminacy import _hnf_member
-    from test_separators import _check_snf
+    from test_separators import _check_hnf
     for _ in range(500):
         pts1 = tuple((rng.choice([1, -1]), rng.choice(pool)) for _ in range(2))
         pts2 = tuple((rng.choice([1, -1]), rng.choice(pool)) for _ in range(2))
@@ -312,11 +312,11 @@ def test_criterion_7_property_suites():
         check_against_oracle(ctx, w)
     for _ in range(200):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        _check_snf([[rng.randint(-9, 9) for _ in range(cols)]
+        _check_hnf([[rng.randint(-9, 9) for _ in range(cols)]
                     for _ in range(rows)])
     assert _hnf_member([{"a": 2}], {"a": -4})
     _report(7, "composition, inverse, sphere-linearity, connected-sum, "
-               "oracle, and SNF spot checks pass; the >= 10^4-case suites "
+               "oracle, and HNF spot checks pass; the >= 10^4-case suites "
                "run in the dedicated test files")
 
 

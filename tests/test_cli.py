@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON reports, strictness flags."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -68,13 +69,44 @@ def test_decide_command(scn_file, capsys):
 def test_json_report_schema(scn_file, capsys):
     assert main(["--json", "run", scn_file]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["schema"] == 1
+    assert rep["schema"] == 2
     assert rep["command"] == "run"
     assert set(rep["bounds"]) == {"depth", "translate_len", "support_len",
                                  "max_states"}
     assert isinstance(rep["results"], list) and rep["results"]
     assert rep["results"][0]["verdict"] in {"equal", "distinct", "unknown"}
     assert "wall_ms" in rep["timing"]
+
+
+SCHEMA = pathlib.Path(__file__).parents[1] / "docs" / "report-schema.json"
+
+# the lattice decision certifies y1 = y2 + 3 * (-[x]) with one step of
+# exponent -3 along the toroidal generator (z, x) = (+[x], x)
+LATTICE_SCN = """\
+group abelian x
+knot k = x^3
+trace lat : k -> k latitude x points ( + x )
+phi P knot k toroidal lat
+query decide "+1*[x]" "+4*[x]" P
+"""
+
+
+def test_report_matches_the_schema_file(tmp_path, capsys):
+    """The schema version and the keys of an emitted certificate and of its
+    steps are exactly what docs/report-schema.json declares."""
+    schema = json.loads(SCHEMA.read_text(encoding="utf-8"))
+    cert_schema = schema["properties"]["results"]["items"]["properties"]["certificate"]
+    step_schema = cert_schema["properties"]["steps"]["items"]
+    p = tmp_path / "lattice.scn"
+    p.write_text(LATTICE_SCN)
+    assert main(["--json", "run", str(p)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["schema"] == schema["properties"]["schema"]["const"]
+    cert = rep["results"][0]["certificate"]
+    assert set(cert) == set(cert_schema["required"])
+    assert [set(step) for step in cert["steps"]] == [set(step_schema["required"])]
+    assert set(step_schema["properties"]) == set(step_schema["required"])
+    assert cert["steps"][0]["exponent"] == -3
 
 
 def test_json_byte_stable_modulo_timing(scn_file, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 import selflink as S
 import selflink.cosets as R
-from conftest import AB1, FREE2, FXZ, random_ring_element, random_word
+from conftest import AB1, FREE2, FXZ, PROD, random_ring_element, random_word
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +133,12 @@ def _oracle_contexts():
                          S.parse_word(FREE2, "x^2 y")),
         R.coset_ring(FREE2, S.parse_word(FREE2, "x y x y")),
         R.coset_ring(FREE2, S.parse_word(FREE2, "y x y^-1")),
+        # distinct commuting sides, whose powers nearly cancel: the least
+        # element of [t] is x = (x t^7)^5 t (x t^9)^-4, and z^-28 z z^27 = 1
+        R.two_sided_ring(FXZ, S.parse_word(FXZ, "x t^7"),
+                         S.parse_word(FXZ, "x t^9")),
+        R.two_sided_ring(PROD, S.parse_word(PROD, "z^7"),
+                         S.parse_word(PROD, "z^9")),
     ]
 
 
@@ -147,7 +153,7 @@ def test_canonicalize_exhaustive_oracle_short_words():
 def test_canonicalize_randomized_oracle_length_8():
     rng = random.Random(411)
     counts = [1000, 1000, 3000, 2000, 800, 2000, 600, 500, 500, 400, 400, 400,
-              200]
+              200, 60, 150]
     contexts = _oracle_contexts()
     assert len(counts) == len(contexts)
     total = 0
@@ -199,6 +205,19 @@ def test_conjugate_root_sides_match_the_oracle():
             check_against_oracle(ctx, w)
 
 
+@pytest.mark.parametrize("spec, gamma, delta, word, want", [
+    (FXZ, "x t^7", "x t^9", "t", "x"),      # (x t^7)^5 t (x t^9)^-4 = x
+    (PROD, "z^7", "z^9", "z", "1"),         # z^-28 z z^27 = 1
+])
+def test_commuting_sides_reach_the_least_element(spec, gamma, delta, word, want):
+    """Distinct sides that commute with each other and with the word: their
+    powers nearly cancel, and the least element needs large exponents."""
+    ctx = R.two_sided_ring(spec, S.parse_word(spec, gamma), S.parse_word(spec, delta))
+    key = R.canonicalize(ctx, S.parse_word(spec, word))
+    assert key.representative == S.parse_word(spec, want)
+    assert oracle_min(ctx, S.parse_word(spec, word))[0] == key.representative
+
+
 @pytest.mark.parametrize("gamma, word, want", [
     ("x y", "x^1000 y x^-1000", "x^1000 y x^-1000"),
     ("x", "x^1000 y x^-1000", "y"),
@@ -218,8 +237,11 @@ def test_large_exponents_canonicalize_quickly(gamma, word, want):
 
 def test_canonicalize_local_move_invariance():
     rng = random.Random(412)
-    for ctx in _oracle_contexts():
-        for _ in range(200):
+    contexts = _oracle_contexts()
+    # the last two contexts go through the widened fallback search
+    counts = [200] * (len(contexts) - 2) + [100, 100]
+    for ctx, n in zip(contexts, counts):
+        for _ in range(n):
             w = random_word(rng, ctx.spec, 8)
             k0 = R.canonicalize(ctx, w)
             for v in _orbit_moves(ctx, w):

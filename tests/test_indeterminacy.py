@@ -1,6 +1,7 @@
 """The indeterminacy action and the certified equality decision procedure."""
 
 import random
+import time
 
 import pytest
 
@@ -473,3 +474,103 @@ def test_free_link_separator_distinct():
     res = I.decide_equal_link(y1, y2, phi)
     assert (res.verdict, res.separator) == ("distinct", "mod2")
     assert res.values == ((((0, 0), 1),), (((0, 0), 2),))
+
+
+# ---------------------------------------------------------------------------
+# exponent certificates
+
+
+def _moving_gens():
+    """A knot and a link generator (z, p) whose p moves z, so that their
+    powers go through the doubling: gamma = (x y)^2 with p = x y, and the
+    link sides (x y)^2, y^2 with p = (x y, y)."""
+    xy, y = S.parse_word(FREE2, "x y"), S.parse_word(FREE2, "y")
+    gamma = S.power(xy, 2)
+    k = L.Knot("k", gamma)
+    pts = ((1, S.parse_word(FREE2, "x")), (-1, S.parse_word(FREE2, "y^2")))
+    knot = I.build_phi(k, [L.Trace(k, k, pts, xy)]).toroidal[0]
+    ctx = R.two_sided_ring(FREE2, gamma, S.power(y, 2))
+    link = I.PhiLinkGen(R.parse_ring(ctx, "+1*[x] -1*[y x]"), xy, y, "link")
+    return {"knot": knot, "link": link}
+
+
+@pytest.mark.parametrize("which", ["knot", "link"])
+def test_power_step_equals_unit_steps(which):
+    """gen^k applied at once (doubling) equals k unit steps."""
+    rng = random.Random(704)
+    gen = _moving_gens()[which]
+    assert I._outer(gen.parts, gen.z) != gen.z
+    ctx = gen.z.context
+    for _ in range(5):
+        y = R.from_terms(ctx, [(random_word(rng, FREE2, 3), rng.choice([-1, 1]))
+                               for _ in range(rng.randint(0, 3))])
+        for k in range(-6, 7):
+            unit = y
+            for _ in range(abs(k)):
+                unit = I._step(gen, 1 if k > 0 else -1, unit)
+            assert I._step(gen, k, y) == unit, k
+            cert = I.Certificate(((gen, k),), (S.identity(FREE2),) * len(gen.parts))
+            assert I.replay(cert, unit, y)
+
+
+def test_replay_of_a_huge_exponent_is_fast():
+    phi, ctx, _ = _abelian_setting(5, None)
+    k = phi.knot
+    x = S.generator(AB1, "x")
+    tr = L.Trace(k, k, ((1, x), (-1, S.power(x, 2)), (1, x)), x)
+    gen = I.build_phi(k, [tr]).toroidal[0]
+    y2 = R.parse_ring(ctx, "+1*[x] -3*[x^2]")
+    y1 = R.add(y2, R.scale(10 ** 12, gen.z))
+    cert = I.Certificate(((gen, 10 ** 12),), (S.identity(AB1),))
+    t0 = time.perf_counter()
+    assert I.replay(cert, y1, y2)
+    assert not I.replay(cert, y2, y1)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def _even_points(rng, n, count):
+    """count signed points x^a, 0 <= a < n, with an even exponent sum."""
+    while True:
+        pts = [(rng.choice((1, -1)), rng.randrange(n)) for _ in range(count)]
+        if sum(a for _, a in pts) % 2 == 0:
+            return [(s, S.power(S.generator(AB1, "x"), a)) for s, a in pts]
+
+
+@pytest.mark.parametrize("n", [16, 24, 32, 40])
+def test_rank1_sphere_scenarios_decide_with_small_certificates(n):
+    """Knot x^n with one toroidal trace and one sphere.  The map
+    x^a -> a mod 2 is well defined on the classes (n is even, and the
+    dropped class is x^0).  It kills the toroidal offset and every sphere
+    translate (even exponent sums, an even number of sphere points), so an
+    offset of odd parity is Distinct; a combination of relations is Equal,
+    with at most one step per lattice generator."""
+    rng = random.Random(705 + n)
+    x = S.generator(AB1, "x")
+    k = L.Knot("k", S.power(x, n))
+    lat = _even_points(rng, n, 3)
+    sph = _even_points(rng, n, n // 2)      # an even number of points
+    phi = I.build_phi(k, [L.Trace(k, k, tuple(lat), x)],
+                      spheres=[L.SphereData("s", tuple(sph))])
+    ctx = phi.context
+    rels = [phi.toroidal[0].z] + [
+        R.from_terms(ctx, [(S.multiply(S.power(x, t), p), s) for s, p in sph])
+        for t in range(n)]
+    n_gens = len(I._abelian_lattice(phi)[0])
+    for q in range(6):
+        y2 = R.from_terms(ctx, [(S.power(x, rng.randrange(n)), rng.randint(-3, 3))
+                                for _ in range(4)])
+        y1 = y2
+        for _ in range(5):
+            y1 = R.add(y1, R.scale(rng.randint(-50, 50), rng.choice(rels)))
+        if q % 2:
+            y1 = R.add(y1, R.single(ctx, S.power(x, 2 * rng.randrange(n // 2) + 1)))
+        res = I.decide_equal(y1, y2, phi)
+        if q % 2:
+            assert (res.verdict, res.separator) == ("distinct", "abelian-lattice")
+            continue
+        assert res.verdict == "equal"
+        steps = res.certificate.steps
+        assert len(steps) <= n_gens
+        assert len({g.provenance for g, _ in steps}) == len(steps)
+        assert all(e and len(str(abs(e))) <= 20 for _, e in steps)
+        assert I.replay(res.certificate, y1, y2)

@@ -1,6 +1,7 @@
-"""Smith normal form, lattice membership, and abelian separator soundness."""
+"""Hermite normal form, lattice membership, and abelian separator soundness."""
 
 import random
+import time
 
 import pytest
 
@@ -13,7 +14,7 @@ CASES = 10000
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Hermite normal form
 
 
 def _matmul(A, B):
@@ -43,42 +44,43 @@ def _det(A):
     return sign * M[n - 1][n - 1]
 
 
-def _check_snf(A):
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    U, D, V = SEP.smith_normal_form(A)
-    assert _matmul(_matmul(U, A), V) == D
+def _check_hnf(A):
+    """U*A = H, U unimodular, and [H | U] in row Hermite normal form with
+    the nonzero rows of H first."""
+    H, U = SEP.hermite_form(A)
+    assert len(H) == len(U) == len(A)
+    assert _matmul(U, A) == H
     assert abs(_det(U)) == 1
-    assert abs(_det(V)) == 1
-    diag = [D[i][i] for i in range(min(rows, cols))]
-    for i in range(rows):
-        for j in range(cols):
-            if i != j:
-                assert D[i][j] == 0
-    assert all(d >= 0 for d in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a == 0:
-            assert b == 0
-        else:
-            assert b % a == 0
+    rows = [h + u for h, u in zip(H, U)]
+    last = -1
+    for i, row in enumerate(rows):
+        lead = next(j for j, a in enumerate(row) if a)
+        assert lead > last and row[lead] > 0
+        assert all(0 <= above[lead] < row[lead] for above in rows[:i])
+        last = lead
+    zero = [not any(h) for h in H]
+    assert zero == sorted(zero)
 
 
-def test_snf_randomized_reconstruction():
+def test_hnf_randomized_reconstruction():
     rng = random.Random(600)
     for case in range(CASES):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         A = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        _check_snf(A)
+        _check_hnf(A)
 
 
-def test_snf_known_values():
-    _, D, _ = SEP.smith_normal_form([[2, 4], [6, 8]])
-    assert [D[0][0], D[1][1]] == [2, 4]
-    _, D, _ = SEP.smith_normal_form([[1, 0], [0, 6]])
-    assert [D[0][0], D[1][1]] == [1, 6]
-    _, D, _ = SEP.smith_normal_form([[0, 0], [0, 0]])
-    assert D == [[0, 0], [0, 0]]
+def test_hnf_known_values():
+    assert SEP.hermite_form([[2, 4], [6, 8]]) == ([[2, 0], [0, 4]],
+                                                  [[-2, 1], [3, -1]])
+    assert SEP.hermite_form([[1, 0], [0, 6]]) == ([[1, 0], [0, 6]],
+                                                  [[1, 0], [0, 1]])
+    assert SEP.hermite_form([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]],
+                                                  [[1, 0], [0, 1]])
+    # rank 1: the kernel row 2*(1, 2) - (2, 4) = 0 follows the pivot row
+    assert SEP.hermite_form([[1, 2], [2, 4]]) == ([[1, 2], [0, 0]],
+                                                  [[1, 0], [2, -1]])
 
 
 def test_lattice_solve_round_trip():
@@ -104,6 +106,133 @@ def test_lattice_solve_detects_non_members():
     assert SEP.lattice_solve([[2], [4]], [3, 6]) is None
 
 
+def _old_smith_normal_form(A):
+    """The Smith normal form the lattice layer used before the Hermite
+    form, kept here only as the oracle of the property test below:
+    (U, D, V) with U*A*V = D diagonal, U and V unimodular."""
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    D = [list(r) for r in A]
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for r in D + V:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(src, dst, q):
+        D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
+        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
+
+    def add_col(src, dst, q):
+        for r in D + V:
+            r[dst] += q * r[src]
+
+    t = 0
+    while t < min(rows, cols):
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if D[i][j] and (pivot is None or abs(D[i][j]) < abs(D[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            done = True
+            for i in range(t + 1, rows):
+                if D[i][t]:
+                    add_row(t, i, -(D[i][t] // D[t][t]))
+                    if D[i][t]:
+                        swap_rows(t, i)
+                        done = False
+            for j in range(t + 1, cols):
+                if D[t][j]:
+                    add_col(t, j, -(D[t][j] // D[t][t]))
+                    if D[t][j]:
+                        swap_cols(t, j)
+                        done = False
+            if done:
+                offender = next((i for i in range(t + 1, rows)
+                                 for j in range(t + 1, cols)
+                                 if D[i][j] % D[t][t]), None)
+                if offender is None:
+                    break
+                add_row(offender, t, 1)
+        t += 1
+    return U, D, V
+
+
+def _snf_member(A, v):
+    """Whether A*c = v has an integer solution, by the old Smith form."""
+    U, D, _ = _old_smith_normal_form(A)
+    rows, cols = len(A), len(A[0])
+    w = [sum(U[i][j] * v[j] for j in range(rows)) for i in range(rows)]
+    for i in range(rows):
+        d = D[i][i] if i < cols else 0
+        if (w[i] % d if d else w[i]):
+            return False
+    return True
+
+
+def test_lattice_solve_agrees_with_the_old_smith_form():
+    """Membership agrees with the Smith-form oracle on small inputs, and
+    every returned combination reproduces the vector."""
+    rng = random.Random(604)
+    members = 0
+    for case in range(400):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        A = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        if case % 2:
+            c = [rng.randint(-4, 4) for _ in range(cols)]
+            v = [sum(a * x for a, x in zip(row, c)) for row in A]
+        else:
+            v = [rng.randint(-4, 4) for _ in range(rows)]
+        sol = SEP.lattice_solve(A, v)
+        assert (sol is not None) == _snf_member(A, v), (A, v)
+        if sol is not None:
+            members += 1
+            assert [sum(a * x for a, x in zip(row, sol)) for row in A] == v
+    assert 200 < members < 400
+
+
+def _timed_membership(A, c):
+    """lattice_solve on A*c (a member) and on 2A*c + e_0 (not one: the
+    lattice of 2A is even), each checked and timed."""
+    v = [sum(a * x for a, x in zip(row, c)) for row in A]
+    t0 = time.perf_counter()
+    sol = SEP.lattice_solve(A, v)
+    miss = SEP.lattice_solve([[2 * a for a in row] for row in A],
+                             [2 * v[0] + 1] + [2 * x for x in v[1:]])
+    elapsed = time.perf_counter() - t0
+    assert [sum(a * x for a, x in zip(row, sol)) for row in A] == v
+    assert miss is None
+    return elapsed
+
+
+def test_dense_membership_is_fast():
+    rng = random.Random(605)
+    A = [[rng.randint(-9, 9) for _ in range(30)] for _ in range(30)]
+    c = [rng.randint(-9, 9) for _ in range(30)]
+    assert _timed_membership(A, c) < 1.0
+
+
+def test_sparse_membership_is_fast():
+    rng = random.Random(606)
+    n = 100
+    A = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for i in rng.sample(range(n), 3):
+            A[i][j] = rng.choice((1, -1))
+    c = [rng.randint(-9, 9) for _ in range(n)]
+    assert _timed_membership(A, c) < 1.0
+
+
 def test_lattice_member_sparse():
     r1 = {"a": 1, "b": -1}
     r2 = {"b": 1, "c": -1}
@@ -119,6 +248,11 @@ def test_quotient_decide_mod_structure():
     assert verdict == "equal" and coeffs == [2]
     verdict, _ = SEP.quotient_decide(lq, [1, 0], [0, 0])
     assert verdict == "distinct"
+    # a redundant relation: the kernel reduction keeps the answer small
+    lq = SEP.LatticeQuotient(("x",), ((2, 3),))
+    verdict, coeffs = SEP.quotient_decide(lq, [10 ** 12 + 1], [0])
+    assert verdict == "equal" and 2 * coeffs[0] + 3 * coeffs[1] == 10 ** 12 + 1
+    assert max(abs(k) for k in coeffs) < 10 ** 12
 
 
 # ---------------------------------------------------------------------------
