@@ -26,8 +26,7 @@ from .groups import (GroupElement, GroupSpec, all_generators,
                      multiply, normalize, parse_word, power, shortlex_key,
                      shortlex_min)
 from .indeterminacy import (Bounds, Certificate, DecisionResult, PhiGen,
-                            PhiGroup, PhiLinkGen, PhiLinkGroup, act,
-                            act_inverse, act_link, act_link_inverse, build_phi,
+                            PhiGroup, act, act_inverse, build_phi,
                             build_phi_link, decide_equal, decide_equal_link,
                             is_spherical_presented, phi_conjugation_only,
                             replay)

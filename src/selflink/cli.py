@@ -205,6 +205,8 @@ def main(argv=None) -> int:
               "args": list(opts.args), "bounds": bounds.to_record(),
               "results": []}
     try:
+        if opts.command != "examples" and not opts.args:
+            raise SelfLinkError(f"{opts.command} needs a scenario file")
         if opts.command == "examples":
             results, failures = run_examples(bounds)
             report["results"] = results
@@ -215,8 +217,6 @@ def main(argv=None) -> int:
                 report["results"].append(
                     _execute(scn, tokens, bounds, opts.strict_sign))
         else:
-            if not opts.args:
-                raise SelfLinkError(f"{opts.command} needs a scenario file")
             scn = _load(opts.args[0])
             report["results"].append(
                 _execute(scn, [opts.command] + opts.args[1:], bounds,

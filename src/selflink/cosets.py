@@ -114,10 +114,10 @@ def _orbit_min(spec, candidates, left, right):
     """Shortlex-least element of {left^n c right^m} by iterative tightening.
 
     This is the general fallback for the orbits that _choose_orbit_rule
-    has no closed form for (free products, free abelian groups, free x Z
-    sides other than central powers, free-group sides that are not
-    cyclically reduced) and the oracle the closed forms are tested
-    against.  The search bound per side is ceil((|g| + |best|)/|side|) + 2,
+    has no closed form for (free products, free abelian groups of rank at
+    least 2, free x Z sides other than central powers, free-group sides
+    that are not cyclically reduced) and the oracle the closed forms are
+    tested against.  The search bound per side is ceil((|g| + |best|)/|side|) + 2,
     widened by the longer side's length for two-sided orbits whose sides
     differ but commute with each other and with the candidates (t against
     x t^7 and x t^9 in free x Z, z against z^7 and z^9 in a free product),
@@ -292,21 +292,21 @@ def _free_orbit_min(spec, left_periods, right_periods, left_powers,
     return _from_codes(spec, best[1])
 
 
-def _central_exponent(spec, s):
-    """a when s = t^a for the central generator t (0 for s = 1), else None."""
+def _central_exponent(t, s):
+    """a when s = t^a for the generator of index t (0 for s = 1), else None."""
     sylls = s.syllables
     if not sylls:
         return 0
-    if len(sylls) == 1 and sylls[0][0] == spec.central_index:
+    if len(sylls) == 1 and sylls[0][0] == t:
         return sylls[0][1]
     return None
 
 
-def _central_orbit_min(spec, k, candidates):
-    """Shortlex-least element of {u t^(c + kn)} in free x Z with t central:
+def _central_orbit_min(spec, t, k, candidates):
+    """Shortlex-least element of {u t^(c + kn)} for the central generator
+    of index t (of free x Z, or of a rank-1 free abelian group, where u = 1):
     u t^c' with c' = c mod k of least absolute value, the positive one on a
     tie."""
-    t = spec.central_index
     best = None
     for cand in candidates:
         sylls = cand.syllables
@@ -360,7 +360,8 @@ def _choose_orbit_rule(spec, left, right):
     _orbit_min.
 
     Free groups with cyclically reduced sides: peel, then scan the windows
-    of _free_windows.  Free x Z with both sides central, t^a and t^b: the
+    of _free_windows.  Free x Z with both sides central, t^a and t^b, and
+    rank-1 free abelian, which is free x Z on no free generators: the
     central exponent is only defined mod gcd(a, b).
     """
     if spec.kind == G.FREE:
@@ -368,10 +369,12 @@ def _choose_orbit_rule(spec, left, right):
         if a is not None and b is not None:
             return partial(_free_orbit_min, spec, _periods(a), _periods(b),
                            *_free_windows(a, b))
-    if spec.kind == G.FREE_TIMES_Z:
-        a, b = _central_exponent(spec, left), _central_exponent(spec, right)
+    if spec.kind == G.FREE_TIMES_Z or (spec.kind == G.FREE_ABELIAN
+                                       and len(spec.labels) == 1):
+        t = len(spec.labels) - 1
+        a, b = _central_exponent(t, left), _central_exponent(t, right)
         if a is not None and b is not None:
-            return partial(_central_orbit_min, spec, math.gcd(a, b))
+            return partial(_central_orbit_min, spec, t, math.gcd(a, b))
     return partial(_orbit_min, spec, left=left, right=right)
 
 

@@ -6,13 +6,16 @@ affine action of an indeterminacy group Phi on the relative coset ring:
 generators (z, phi) act by y -> z + phi y phi^-1, with an outer conjugation
 by the centralizer of the knot class.  The linking number of a 2-component
 link is taken modulo pairs (z, (phi, psi)) acting by y -> z + phi y psi^-1,
-with an outer biaction by both centralizers.  Phi is presented by toroidal
-generators (one per centralizer generator, read off a self-trace or a link
-trace) and by sphere pairing data whose group translates, t.sigma on the
-left or sigma.t on the right, form a symbolic infinite family.
+with an outer biaction by both centralizers.  A knot is the one-sided case
+of a link: one generator type PhiGen(z, parts), with parts (phi,) or
+(phi, psi), and one presentation type PhiGroup serve both.  Phi is
+presented by toroidal generators (one per centralizer generator, read off
+a self-trace or a link trace) and by sphere pairing data whose group
+translates, t.sigma on the left or sigma.t on the right, form a symbolic
+infinite family.
 
 decide_equal answers whether two values agree modulo this action, with one
-pipeline for knots and links (decide_equal_link is an alias):
+pipeline for knots and links:
 
   * Equal only with a certificate that replays to an exact ring equality;
   * Distinct only via a true invariant of the unbounded action (an exact
@@ -55,82 +58,29 @@ class Bounds:
 
 @dataclass(frozen=True)
 class PhiGen:
+    """A generator (z, parts) of Phi: parts is (phi,) for a knot, acting by
+    y -> z + phi y phi^-1, or (phi, psi) for a link, acting by
+    y -> z + phi y psi^-1."""
     z: R.RingElement
-    phi: G.GroupElement
+    parts: tuple[G.GroupElement, ...]
     provenance: str = ""
-
-    @property
-    def parts(self):
-        return (self.phi,)
 
     def inverse(self) -> "PhiGen":
-        phi_inv = G.invert(self.phi)
-        return PhiGen(R.negate(R.conj_act(phi_inv, self.z)), phi_inv,
-                      f"inv({self.provenance})")
-
-
-@dataclass(frozen=True)
-class PhiLinkGen:
-    z: R.RingElement
-    phi: G.GroupElement
-    psi: G.GroupElement
-    provenance: str = ""
-
-    @property
-    def parts(self):
-        return (self.phi, self.psi)
-
-    def inverse(self) -> "PhiLinkGen":
-        phi_inv, psi_inv = G.invert(self.phi), G.invert(self.psi)
-        return PhiLinkGen(R.negate(R.biact(phi_inv, psi_inv, self.z)), phi_inv,
-                          psi_inv, f"inv({self.provenance})")
-
-
-def _gen(z, parts, provenance):
-    """The generator (z, parts) of the shape that the number of parts gives."""
-    return (PhiGen if len(parts) == 1 else PhiLinkGen)(z, *parts, provenance)
+        inv = tuple(G.invert(p) for p in self.parts)
+        return PhiGen(R.negate(_outer(inv, self.z)), inv, f"inv({self.provenance})")
 
 
 @dataclass(frozen=True)
 class PhiGroup:
-    knot: L.Knot
+    """A presentation of Phi: knots is (k,) for a knot or (k1, k2) for a
+    link, zetas the centralizer generators per outer factor, and
+    sided_spheres the sphere families as (sphere, right), a knot's all on
+    the left."""
+    knots: tuple[L.Knot, ...]
     context: R.RingContext = field(repr=False)
-    zeta_gens: tuple[G.GroupElement, ...]
+    zetas: tuple[tuple[G.GroupElement, ...], ...]
     toroidal: tuple[PhiGen, ...]
-    spheres: tuple[L.SphereData, ...]
-
-    @property
-    def zetas(self):
-        """Centralizer generators per outer factor."""
-        return (self.zeta_gens,)
-
-    @property
-    def sided_spheres(self):
-        """(sphere, right) per family; a knot's translate on the left."""
-        return tuple((s, False) for s in self.spheres)
-
-
-@dataclass(frozen=True)
-class PhiLinkGroup:
-    knot1: L.Knot
-    knot2: L.Knot
-    context: R.RingContext = field(repr=False)
-    zeta1: tuple[G.GroupElement, ...]
-    zeta2: tuple[G.GroupElement, ...]
-    toroidal: tuple[PhiLinkGen, ...]
-    spheres_left: tuple[L.SphereData, ...]   # translated as g.sigma on the left
-    spheres_right: tuple[L.SphereData, ...]  # translated as sigma.g on the right
-
-    @property
-    def zetas(self):
-        """Centralizer generators per outer factor."""
-        return (self.zeta1, self.zeta2)
-
-    @property
-    def sided_spheres(self):
-        """(sphere, right) per family, the left families first."""
-        return (tuple((s, False) for s in self.spheres_left)
-                + tuple((s, True) for s in self.spheres_right))
+    sided_spheres: tuple[tuple[L.SphereData, bool], ...]
 
 
 def build_phi(k: L.Knot, toroidal, spheres=(), zeta_gens=None) -> PhiGroup:
@@ -154,9 +104,10 @@ def build_phi(k: L.Knot, toroidal, spheres=(), zeta_gens=None) -> PhiGroup:
             raise LatitudeMismatch(
                 f"trace latitude {G.format_word(tr.latitude)} does not match "
                 f"centralizer generator {G.format_word(phi)}")
-        gens.append(PhiGen(L.mu_trace(tr), phi, f"toroidal[{G.format_word(phi)}]"))
+        gens.append(PhiGen(L.mu_trace(tr), (phi,), f"toroidal[{G.format_word(phi)}]"))
     ctx = R.coset_ring(k.spec, k.gamma)
-    return PhiGroup(k, ctx, zeta_gens, tuple(gens), tuple(spheres))
+    return PhiGroup((k,), ctx, (zeta_gens,), tuple(gens),
+                    tuple((s, False) for s in spheres))
 
 
 def phi_conjugation_only(k: L.Knot, zeta_gens=None) -> PhiGroup:
@@ -171,7 +122,7 @@ def phi_conjugation_only(k: L.Knot, zeta_gens=None) -> PhiGroup:
 
 def build_phi_link(k1: L.Knot, k2: L.Knot, toroidal1=(), toroidal2=(),
                    spheres_left=(), spheres_right=(),
-                   zeta1=None, zeta2=None) -> PhiLinkGroup:
+                   zeta1=None, zeta2=None) -> PhiGroup:
     """Two-sided presentation: toroidal generators
     (lambda(K1_q, K2), (phi_q, 1)) and (lambda(K1, K2_q), (1, psi_q)) read
     off link traces, left/right sphere families kept symbolic."""
@@ -196,57 +147,52 @@ def build_phi_link(k1: L.Knot, k2: L.Knot, toroidal1=(), toroidal2=(),
         if lt.trace1.latitude != expect_phi or lt.trace2.latitude != expect_psi:
             raise LatitudeMismatch("link trace latitudes do not match the centralizer generators")
         z = R.from_terms(ctx, [(g, s) for s, g in lt.cross_points])
-        gens.append(PhiLinkGen(z, expect_phi, expect_psi,
-                               f"toroidal{side}[{G.format_word(expect_phi if side == 1 else expect_psi)}]"))
+        gens.append(PhiGen(z, (expect_phi, expect_psi),
+                           f"toroidal{side}[{G.format_word(expect_phi if side == 1 else expect_psi)}]"))
 
     for lt, phi in zip(toroidal1, zeta1):
         _absorb(lt, 1, phi, one)
     for lt, psi in zip(toroidal2, zeta2):
         _absorb(lt, 2, one, psi)
-    return PhiLinkGroup(k1, k2, ctx, zeta1, zeta2, tuple(gens),
-                        tuple(spheres_left), tuple(spheres_right))
+    return PhiGroup((k1, k2), ctx, (zeta1, zeta2), tuple(gens),
+                    tuple((s, False) for s in spheres_left)
+                    + tuple((s, True) for s in spheres_right))
 
 
 # ---------------------------------------------------------------------------
 # actions
 
 
-def act(gen: PhiGen, y: R.RingElement) -> R.RingElement:
-    """(z, phi): y -> z + phi y phi^-1."""
+def _check_context(gen: PhiGen, y: R.RingElement):
     if gen.z.context != y.context:
         raise SpecMismatch("generator and element live in different contexts")
-    return R.add(gen.z, R.conj_act(gen.phi, y))
+
+
+def act(gen: PhiGen, y: R.RingElement) -> R.RingElement:
+    """(z, parts): y -> z + parts.y."""
+    _check_context(gen, y)
+    return R.add(gen.z, _outer(gen.parts, y))
 
 
 def act_inverse(gen: PhiGen, y: R.RingElement) -> R.RingElement:
-    return act(gen.inverse(), y)
-
-
-def act_link(gen: PhiLinkGen, y: R.RingElement) -> R.RingElement:
-    """(z, (phi, psi)): y -> z + phi y psi^-1."""
-    if gen.z.context != y.context:
-        raise SpecMismatch("generator and element live in different contexts")
-    return R.add(gen.z, R.biact(gen.phi, gen.psi, y))
-
-
-def act_link_inverse(gen: PhiLinkGen, y: R.RingElement) -> R.RingElement:
-    phi_inv, psi_inv = G.invert(gen.phi), G.invert(gen.psi)
-    return R.biact(phi_inv, psi_inv, R.add(y, R.negate(gen.z)))
+    """The inverse action: y -> parts^-1.(y - z)."""
+    _check_context(gen, y)
+    return _outer(tuple(G.invert(p) for p in gen.parts), R.add(y, R.negate(gen.z)))
 
 
 def _compose(g, h):
     """The generator g.h (h acts first): (z, p).(w, q) = (z + p.w, p q)."""
-    return _gen(R.add(g.z, _outer(g.parts, h.z)),
-                tuple(G.multiply(a, b) for a, b in zip(g.parts, h.parts)),
-                g.provenance)
+    return PhiGen(R.add(g.z, _outer(g.parts, h.z)),
+                  tuple(G.multiply(a, b) for a, b in zip(g.parts, h.parts)),
+                  g.provenance)
 
 
 def _power(gen, k: int):
     """gen^k by doubling, (z, p)^2 = (z + p.z, p^2): O(log |k|) ring
     operations, from the inverse generator for negative k."""
     spec = gen.z.context.spec
-    acc = _gen(R.zero(gen.z.context), tuple(G.identity(spec) for _ in gen.parts),
-               gen.provenance)
+    acc = PhiGen(R.zero(gen.z.context), tuple(G.identity(spec) for _ in gen.parts),
+                 gen.provenance)
     base = gen if k > 0 else gen.inverse()
     k = abs(k)
     while k:
@@ -263,8 +209,6 @@ def _step(gen, k: int, y: R.RingElement) -> R.RingElement:
     (k = -1), else one action of the power gen^k."""
     if abs(k) != 1:
         gen, k = _power(gen, k), 1
-    if isinstance(gen, PhiLinkGen):
-        return act_link(gen, y) if k > 0 else act_link_inverse(gen, y)
     return act(gen, y) if k > 0 else act_inverse(gen, y)
 
 
@@ -275,7 +219,7 @@ def _outer(c: tuple, y: R.RingElement) -> R.RingElement:
     return R.biact(c[0], c[1], y) if len(c) == 2 else R.conj_act(c[0], y)
 
 
-def is_spherical_presented(phi: PhiGroup | PhiLinkGroup) -> bool:
+def is_spherical_presented(phi: PhiGroup) -> bool:
     """True iff every toroidal generator of the presentation has z = 0."""
     return all(not g.z for g in phi.toroidal)
 
@@ -290,7 +234,7 @@ class Certificate:
     applied left to right, the outer conjugator c last.  An exponent is a
     non-zero integer: the orbit search makes unit steps (e = +-1), the
     abelian lattice decision one step per generator it uses."""
-    steps: tuple  # of (PhiGen | PhiLinkGen, e)
+    steps: tuple  # of (PhiGen, e)
     conjugator: tuple  # (alpha,) or (alpha, beta)
 
     def to_record(self):
@@ -363,8 +307,8 @@ def _sphere_element(ctx, t, points, right=False):
 def _translate_gen(phi, z, sph, t):
     """The pure generator (z, 1) of the sphere translate at t."""
     one = G.identity(phi.context.spec)
-    return _gen(z, (one,) * len(phi.zetas),
-                f"spherical[{sph.label}]@{G.format_word(t)}")
+    return PhiGen(z, (one,) * len(phi.zetas),
+                  f"spherical[{sph.label}]@{G.format_word(t)}")
 
 
 def _shifts_keys(phi) -> bool:
@@ -377,7 +321,7 @@ def _shifts_keys(phi) -> bool:
 # exact abelian decision
 
 
-def _abelian_applicable(phi: PhiGroup | PhiLinkGroup) -> bool:
+def _abelian_applicable(phi: PhiGroup) -> bool:
     """The lattice decision is exact: the group is abelian, and every key
     translation the action makes ranges over a finite key group.  Sphere
     translates and a link's outer biaction range over G/<gamma[, delta]>,
@@ -388,9 +332,6 @@ def _abelian_applicable(phi: PhiGroup | PhiLinkGroup) -> bool:
     if not _shifts_keys(phi) and not phi.sided_spheres:
         return True
     return len(ctx.spec.labels) == 1 and ctx.flavor in (R.COSET, R.TWO_SIDED)
-
-
-_link_abelian_applicable = _abelian_applicable  # read by bench/worker.py
 
 
 def _abelian_lattice(phi):
@@ -405,7 +346,7 @@ def _abelian_lattice(phi):
     one = G.identity(spec)
     gens = [g for g in phi.toroidal if g.z]
     if not _shifts_keys(phi):
-        for sph in phi.spheres:
+        for sph, _ in phi.sided_spheres:
             for a in range(abs(ctx.gamma.syllables[0][1])):
                 t = G.make_element(spec, [(0, a)])
                 z = _sphere_element(ctx, t, sph.points)
@@ -425,8 +366,8 @@ def _abelian_lattice(phi):
             zc = _outer(c, z)
             if zc and zc not in seen:
                 seen.add(zc)
-                closed.append(PhiLinkGen(zc, one, one,
-                                         f"shift[{prov},{G.format_word(c[0])}]"))
+                closed.append(PhiGen(zc, (one, one),
+                                     f"shift[{prov},{G.format_word(c[0])}]"))
     return closed, shifts
 
 
@@ -537,8 +478,8 @@ def _conjugated_toroidal(phi, ball, gen_cap):
             if key in seen or (not z and all(G.is_identity(p) for p in parts)):
                 continue
             seen.add(key)
-            out.append(_gen(z, parts, f"conj[{g.provenance},"
-                                      f"{','.join(G.format_word(a) for a in c)}]"))
+            out.append(PhiGen(z, parts, f"conj[{g.provenance},"
+                                        f"{','.join(G.format_word(a) for a in c)}]"))
             if len(out) == gen_cap:
                 return out
     return out
@@ -554,7 +495,7 @@ class _OrbitSearch:
     can cancel it.  The smaller frontier is expanded each round.
     """
 
-    def __init__(self, phi: PhiGroup | PhiLinkGroup, bounds: Bounds):
+    def __init__(self, phi: PhiGroup, bounds: Bounds):
         self.phi = phi
         self.ctx = ctx = phi.context
         self.bounds = bounds
@@ -678,10 +619,10 @@ class _OrbitSearch:
 
 
 def decide_equal(y1: R.RingElement, y2: R.RingElement,
-                 phi: PhiGroup | PhiLinkGroup,
+                 phi: PhiGroup,
                  bounds: Bounds = Bounds()) -> DecisionResult:
     """Certified comparison of two values modulo the indeterminacy action of
-    a knot (PhiGroup) or of a 2-component link (PhiLinkGroup)."""
+    a knot or of a 2-component link."""
     if y1.context != y2.context or y1.context != phi.context:
         raise SpecMismatch("operands and Phi presentation must share a context")
     if y1 == y2:
@@ -710,4 +651,10 @@ def decide_equal(y1: R.RingElement, y2: R.RingElement,
     return res
 
 
+# link names of the shared types and functions, read by bench/worker.py and
+# bench/tracer.py
 decide_equal_link = decide_equal
+_link_abelian_applicable = _abelian_applicable
+PhiLinkGroup = PhiGroup
+act_link = act
+act_link_inverse = act_inverse

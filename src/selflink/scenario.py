@@ -41,8 +41,7 @@ class Scenario:
     traces: dict[str, L.Trace] = field(default_factory=dict)
     spheres: dict[str, L.SphereData] = field(default_factory=dict)
     linktraces: dict[str, L.LinkTrace] = field(default_factory=dict)
-    phis: dict[str, I.PhiGroup] = field(default_factory=dict)
-    philinks: dict[str, I.PhiLinkGroup] = field(default_factory=dict)
+    phis: dict[str, I.PhiGroup] = field(default_factory=dict)  # phi and philink
     queries: list[list[str]] = field(default_factory=list)
     # declaration metadata kept for round-trip printing
     _decls: list[tuple[str, str]] = field(default_factory=list)
@@ -98,6 +97,15 @@ def _split_sections(tokens, keywords):
         else:
             current.append(t)
     return out
+
+
+def _section(sections, key, count, line_no):
+    """The names of a required section, which must hold exactly count."""
+    names = sections.get(key)
+    if names is None or len(names) != count:
+        raise ParseError(f"expected '{key}' followed by {count} name"
+                         f"{'s' if count > 1 else ''}", line=line_no)
+    return names
 
 
 def _require(scn, table, name, what, line_no):
@@ -218,42 +226,35 @@ def _dispatch(scn: Scenario, tokens, line_no):
         except SelfLinkError as e:
             raise InvariantViolation(f"line {line_no}: {e}") from e
 
-    elif head == "phi":
+    elif head in ("phi", "philink"):
+        # phi and philink declare presentations in one namespace
         name = tokens[1]
+        if name in scn.phis:
+            raise ParseError(f"presentation {name!r} already declared", line=line_no)
+
+        def named(table, what, names):
+            return [_require(scn, table, n, what, line_no) for n in names]
+
         try:
-            if tokens[2] == "conjugation":
+            if head == "philink":
+                sections = _split_sections(
+                    tokens[2:], {"knots", "toroidal1", "toroidal2", "left", "right"})
+                k1, k2 = named(scn.knots, "knot", _section(sections, "knots", 2, line_no))
+                t1 = named(scn.linktraces, "linktrace", sections.get("toroidal1", []))
+                t2 = named(scn.linktraces, "linktrace", sections.get("toroidal2", []))
+                sl = named(scn.spheres, "sphere", sections.get("left", []))
+                sr = named(scn.spheres, "sphere", sections.get("right", []))
+                scn.phis[name] = I.build_phi_link(k1, k2, t1, t2, sl, sr)
+            elif tokens[2] == "conjugation":
                 k = _require(scn, scn.knots, tokens[3], "knot", line_no)
                 scn.phis[name] = I.phi_conjugation_only(k)
             else:
                 sections = _split_sections(tokens[2:], {"knot", "toroidal", "spheres"})
-                k = _require(scn, scn.knots, sections["knot"][0], "knot", line_no)
-                toroidal = [_require(scn, scn.traces, t, "trace", line_no)
-                            for t in sections.get("toroidal", [])]
-                spheres = [_require(scn, scn.spheres, s, "sphere", line_no)
-                           for s in sections.get("spheres", [])]
+                k, = named(scn.knots, "knot", _section(sections, "knot", 1, line_no))
+                toroidal = named(scn.traces, "trace", sections.get("toroidal", []))
+                spheres = named(scn.spheres, "sphere", sections.get("spheres", []))
                 scn.phis[name] = I.build_phi(k, toroidal, spheres)
-        except (UnresolvedReference, InvariantViolation):
-            raise
-        except SelfLinkError as e:
-            raise InvariantViolation(f"line {line_no}: {e}") from e
-
-    elif head == "philink":
-        name = tokens[1]
-        try:
-            sections = _split_sections(
-                tokens[2:], {"knots", "toroidal1", "toroidal2", "left", "right"})
-            k1 = _require(scn, scn.knots, sections["knots"][0], "knot", line_no)
-            k2 = _require(scn, scn.knots, sections["knots"][1], "knot", line_no)
-            t1 = [_require(scn, scn.linktraces, t, "linktrace", line_no)
-                  for t in sections.get("toroidal1", [])]
-            t2 = [_require(scn, scn.linktraces, t, "linktrace", line_no)
-                  for t in sections.get("toroidal2", [])]
-            sl = [_require(scn, scn.spheres, s, "sphere", line_no)
-                  for s in sections.get("left", [])]
-            sr = [_require(scn, scn.spheres, s, "sphere", line_no)
-                  for s in sections.get("right", [])]
-            scn.philinks[name] = I.build_phi_link(k1, k2, t1, t2, sl, sr)
-        except (UnresolvedReference, InvariantViolation):
+        except (ParseError, UnresolvedReference, InvariantViolation):
             raise
         except SelfLinkError as e:
             raise InvariantViolation(f"line {line_no}: {e}") from e
@@ -320,25 +321,26 @@ def print_scenario(scn: Scenario) -> str:
                         for sp in spheres)
 
     for name, phi in scn.phis.items():
-        tor = " ".join(next(n for n, t in scn.traces.items()
-                            if L.mu_trace(t) == g.z and t.latitude == g.phi)
-                       for g in phi.toroidal)
-        line = f"phi {name} knot {phi.knot.label} toroidal {tor}".rstrip()
-        if phi.spheres:
-            line += f" spheres {sphere_names(phi.spheres)}"
-        out.append(line)
-    for name, pl in scn.philinks.items():
-        line = f"philink {name} knots {pl.knot1.label} {pl.knot2.label}"
-        n1 = len(pl.zeta1)
-        for section, gens in (("toroidal1", pl.toroidal[:n1]),
-                              ("toroidal2", pl.toroidal[n1:])):
-            if gens:
-                line += f" {section} " + " ".join(
-                    next(n for n, lt in scn.linktraces.items()
-                         if L.lambda_link(lt) == g.z
-                         and (lt.trace1.latitude, lt.trace2.latitude) == g.parts)
-                    for g in gens)
-        for section, spheres in (("left", pl.spheres_left), ("right", pl.spheres_right)):
+        if len(phi.knots) == 1:
+            tor = " ".join(next(n for n, t in scn.traces.items()
+                                if L.mu_trace(t) == g.z and (t.latitude,) == g.parts)
+                           for g in phi.toroidal)
+            line = f"phi {name} knot {phi.knots[0].label} toroidal {tor}".rstrip()
+            sides = (("spheres", False),)
+        else:
+            line = f"philink {name} knots {phi.knots[0].label} {phi.knots[1].label}"
+            n1 = len(phi.zetas[0])
+            for section, gens in (("toroidal1", phi.toroidal[:n1]),
+                                  ("toroidal2", phi.toroidal[n1:])):
+                if gens:
+                    line += f" {section} " + " ".join(
+                        next(n for n, lt in scn.linktraces.items()
+                             if L.lambda_link(lt) == g.z
+                             and (lt.trace1.latitude, lt.trace2.latitude) == g.parts)
+                        for g in gens)
+            sides = (("left", False), ("right", True))
+        for section, right in sides:
+            spheres = [s for s, r in phi.sided_spheres if r == right]
             if spheres:
                 line += f" {section} {sphere_names(spheres)}"
         out.append(line)
@@ -351,23 +353,29 @@ def print_scenario(scn: Scenario) -> str:
 # query execution
 
 
-def _find_phi(scn: Scenario, name: str | None, line_hint=""):
+def _find_phi(scn: Scenario, name: str | None):
     if name is not None:
-        if name in scn.phis:
-            return scn.phis[name]
-        if name in scn.philinks:
-            return scn.philinks[name]
-        raise UnresolvedReference(f"unknown phi {name!r}{line_hint}")
-    pools = list(scn.phis.values()) + list(scn.philinks.values())
-    if len(pools) != 1:
+        if name not in scn.phis:
+            raise UnresolvedReference(f"unknown phi {name!r}")
+        return scn.phis[name]
+    if len(scn.phis) != 1:
         raise UnresolvedReference(
             "query needs an explicit phi name (scenario has "
-            f"{len(pools)} presentations)")
-    return pools[0]
+            f"{len(scn.phis)} presentations)")
+    return next(iter(scn.phis.values()))
 
 
-def _parse_elem(ctx, text):
-    return R.parse_ring(ctx, text)
+# query command -> (least, most) argument count and usage; most None is
+# unbounded
+_USAGE = {
+    "normalize": (1, None, "normalize WORD..."),
+    "canon": (2, None, "canon KNOT WORD..."),
+    "mu": (1, 1, "mu TRACE"),
+    "lambda": (1, 2, "lambda SPHERE KNOT | lambda LINKTRACE"),
+    "relative": (1, 2, "relative TRACE [PHI]"),
+    "decide": (2, 3, "decide ELEM ELEM [PHI]"),
+    "spherical": (0, 1, "spherical [PHI]"),
+}
 
 
 def execute_query(scn: Scenario, tokens, bounds: I.Bounds) -> dict:
@@ -375,6 +383,11 @@ def execute_query(scn: Scenario, tokens, bounds: I.Bounds) -> dict:
     if not tokens:
         raise ParseError("empty query")
     cmd, args = tokens[0], tokens[1:]
+    if cmd not in _USAGE:
+        raise ParseError(f"unknown query command {cmd!r}")
+    least, most, usage = _USAGE[cmd]
+    if len(args) < least or (most is not None and len(args) > most):
+        raise ParseError(f"usage: {usage}")
     spec = scn.spec
     rec = {"command": cmd, "args": list(args)}
 
@@ -393,8 +406,9 @@ def execute_query(scn: Scenario, tokens, bounds: I.Bounds) -> dict:
         rec["result"] = R.format_ring(L.mu_trace(t))
 
     elif cmd == "lambda":
-        if args[0] in scn.linktraces:
-            rec["result"] = R.format_ring(L.lambda_link(scn.linktraces[args[0]]))
+        if len(args) == 1:
+            lt = _require(scn, scn.linktraces, args[0], "linktrace", "?")
+            rec["result"] = R.format_ring(L.lambda_link(lt))
         else:
             s = _require(scn, scn.spheres, args[0], "sphere", "?")
             k = _require(scn, scn.knots, args[1], "knot", "?")
@@ -410,14 +424,11 @@ def execute_query(scn: Scenario, tokens, bounds: I.Bounds) -> dict:
 
     elif cmd == "decide":
         phi = _find_phi(scn, args[2] if len(args) > 2 else None)
-        y1 = _parse_elem(phi.context, args[0])
-        y2 = _parse_elem(phi.context, args[1])
+        y1 = R.parse_ring(phi.context, args[0])
+        y2 = R.parse_ring(phi.context, args[1])
         rec.update(I.decide_equal(y1, y2, phi, bounds).to_record())
 
-    elif cmd == "spherical":
+    else:  # spherical
         phi = _find_phi(scn, args[0] if args else None)
         rec["result"] = I.is_spherical_presented(phi)
-
-    else:
-        raise ParseError(f"unknown query command {cmd!r}")
     return rec

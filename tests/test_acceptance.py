@@ -34,8 +34,7 @@ def _recheck_distinct(res, y1, y2, spec):
 
 def _decide(label, y1, y2, phi, bounds=None):
     bounds = bounds or I.Bounds()
-    link = isinstance(phi, I.PhiLinkGroup)
-    res = (I.decide_equal_link if link else I.decide_equal)(y1, y2, phi, bounds)
+    res = I.decide_equal(y1, y2, phi, bounds)
     replay_ok = True
     separator_ok = True
     if res.verdict == "equal":

@@ -141,6 +141,24 @@ def test_parse_error_is_an_error(tmp_path):
     assert main(["run", str(p)]) == 1
 
 
+@pytest.mark.parametrize("text, argv", [
+    (SCN, ["decide", "FILE", "+1*[x]"]),
+    (SCN, ["canon", "FILE"]),
+    (SCN, ["lambda", "FILE"]),
+    (SCN.replace('"0" P', ""), ["run", "FILE"]),
+    (SCN.replace("phi P knot k", "phi P"), ["run", "FILE"]),
+    ("group free x y\nphilink P left\n", ["run", "FILE"]),
+    (SCN, ["run"]),
+], ids=["decide-one-element", "canon-no-knot", "lambda-no-argument",
+        "stored-query-too-short", "phi-without-knot", "philink-without-knots",
+        "run-without-file"])
+def test_malformed_input_is_an_error(text, argv, tmp_path, capsys):
+    p = tmp_path / "case.scn"
+    p.write_text(text)
+    assert main([str(p) if a == "FILE" else a for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bounds_flags_are_threaded(scn_file, capsys):
     assert main(["--json", "--depth", "3", "--translate-len", "2",
                  "--support-len", "9", "--max-states", "700",

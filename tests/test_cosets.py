@@ -218,14 +218,21 @@ def test_commuting_sides_reach_the_least_element(spec, gamma, delta, word, want)
     assert oracle_min(ctx, S.parse_word(spec, word))[0] == key.representative
 
 
-@pytest.mark.parametrize("gamma, word, want", [
-    ("x y", "x^1000 y x^-1000", "x^1000 y x^-1000"),
-    ("x", "x^1000 y x^-1000", "y"),
-    ("x y", " ".join(["x y"] * 700) + " x^3 y^-2", "x^3 y^-2"),
-])
-def test_large_exponents_canonicalize_quickly(gamma, word, want):
-    ctx = R.coset_ring(FREE2, S.parse_word(FREE2, gamma))
-    g = S.parse_word(FREE2, word)
+_LARGE_EXPONENTS = [
+    (FREE2, "x y", "x^1000 y x^-1000", "x^1000 y x^-1000"),
+    (FREE2, "x", "x^1000 y x^-1000", "y"),
+    (FREE2, "x y", " ".join(["x y"] * 700) + " x^3 y^-2", "x^3 y^-2"),
+    (AB1, "x^3", "x^1000", "x"),
+    (AB1, "x^3", "x^-1000000", "x"),
+]
+
+
+# the ids name the words only
+@pytest.mark.parametrize("spec, gamma, word, want", _LARGE_EXPONENTS,
+                         ids=["-".join(case[1:]) for case in _LARGE_EXPONENTS])
+def test_large_exponents_canonicalize_quickly(spec, gamma, word, want):
+    ctx = R.coset_ring(spec, S.parse_word(spec, gamma))
+    g = S.parse_word(spec, word)
     R._canonicalize_cached.cache_clear()
     t0 = time.perf_counter()
     key = R.canonicalize(ctx, g)

@@ -89,7 +89,7 @@ def _hnf_member(relations, target):
 def _sphere_relations(phi, ctx, n):
     """Definitional sphere-translate relations over coset representatives."""
     out = []
-    for fam in phi.spheres:
+    for fam, _ in phi.sided_spheres:
         for j in range(n):
             g = S.power(S.generator(ctx.spec, "x"), j)
             pts = L.translate_points(g, fam.points)
@@ -188,7 +188,7 @@ def test_act_is_affine():
     g = phi.toroidal[0]
     y = R.single(ctx, S.parse_word(FREE2, "y"))
     # z + phi y phi^-1
-    want = R.add(g.z, R.conj_act(g.phi, y))
+    want = R.add(g.z, R.conj_act(g.parts[0], y))
     assert I.act(g, y) == want
 
 
@@ -211,8 +211,9 @@ def test_act_link_round_trip():
                                 rng.choice([-1, 1]))
                                for _ in range(rng.randint(0, 3))])
         g = rng.choice(gens)
-        assert I.act_link_inverse(g, I.act_link(g, y)) == y
-        assert I.act_link(g, I.act_link_inverse(g, y)) == y
+        assert I.act_inverse(g, I.act(g, y)) == y
+        assert I.act(g, I.act_inverse(g, y)) == y
+        assert I.act(g.inverse(), y) == I.act_inverse(g, y)
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +430,21 @@ def _free_link_phi(cross=True):
         f"linktrace l1 : a1 b0{c1}\nlinktrace l2 : a0 b1{c2}\n"
         "sphere s1 unlink k1\nsphere s2 unlink k2\n"
         "philink P knots k1 k2 toroidal1 l1 toroidal2 l2 left s1 right s2\n")
-    return scn.philinks["P"]
+    return scn.phis["P"]
 
 
 def _free_link_move(phi, move, y):
     ctx = phi.context
     t = S.parse_word(ctx.spec, "y")
     if move == "toroidal1":
-        return I.act_link(phi.toroidal[0], y)
+        return I.act(phi.toroidal[0], y)
     if move == "toroidal2-inverse":
-        return I.act_link_inverse(phi.toroidal[1], y)
+        return I.act_inverse(phi.toroidal[1], y)
+    (left, _), (right, _) = phi.sided_spheres
     if move == "left-sphere":
-        pts = phi.spheres_left[0].points
+        pts = left.points
         return R.add(y, R.from_terms(ctx, [(S.multiply(t, p), s) for s, p in pts]))
-    pts = phi.spheres_right[0].points
+    pts = right.points
     return R.add(y, R.from_terms(ctx, [(S.multiply(p, t), s) for s, p in pts]))
 
 
@@ -490,7 +492,7 @@ def _moving_gens():
     pts = ((1, S.parse_word(FREE2, "x")), (-1, S.parse_word(FREE2, "y^2")))
     knot = I.build_phi(k, [L.Trace(k, k, pts, xy)]).toroidal[0]
     ctx = R.two_sided_ring(FREE2, gamma, S.power(y, 2))
-    link = I.PhiLinkGen(R.parse_ring(ctx, "+1*[x] -1*[y x]"), xy, y, "link")
+    link = I.PhiGen(R.parse_ring(ctx, "+1*[x] -1*[y x]"), (xy, y), "link")
     return {"knot": knot, "link": link}
 
 
@@ -515,7 +517,7 @@ def test_power_step_equals_unit_steps(which):
 
 def test_replay_of_a_huge_exponent_is_fast():
     phi, ctx, _ = _abelian_setting(5, None)
-    k = phi.knot
+    k = phi.knots[0]
     x = S.generator(AB1, "x")
     tr = L.Trace(k, k, ((1, x), (-1, S.power(x, 2)), (1, x)), x)
     gen = I.build_phi(k, [tr]).toroidal[0]

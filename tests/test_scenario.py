@@ -44,6 +44,57 @@ def test_unresolved_reference_reports_line():
     assert "line 2" in str(ei.value)
 
 
+# five declaration lines, then the line under test at line 6
+DECLS = """\
+group abelian x
+knot k = x^2
+trace a : k -> k latitude x
+trace b : k -> k latitude 1
+linktrace l : a b
+"""
+
+
+@pytest.mark.parametrize("line", [
+    "phi P toroidal a",
+    "phi P knot",
+    "philink P toroidal1 l",
+    "philink P knots k",
+])
+def test_missing_section_is_a_parse_error(line):
+    with pytest.raises(ParseError, match="line 6: expected 'knots?' followed by"):
+        parse_scenario(DECLS + line + "\n")
+
+
+PRESENTATIONS = {"phi": "phi P conjugation k",
+                 "philink": "philink P knots k k toroidal1 l toroidal2 l2"}
+
+
+@pytest.mark.parametrize("first, second", [
+    ("phi", "phi"), ("phi", "philink"), ("philink", "phi")])
+def test_repeated_presentation_name_is_a_parse_error(first, second):
+    """phi and philink share one namespace; nothing is shadowed."""
+    text = (DECLS + "linktrace l2 : b a\n"
+            + PRESENTATIONS[first] + "\n" + PRESENTATIONS[second] + "\n")
+    with pytest.raises(ParseError, match="line 8: presentation 'P' already declared"):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize("tokens", [
+    ["normalize"],
+    ["canon", "k"],
+    ["mu"],
+    ["mu", "h", "h"],
+    ["lambda"],
+    ["relative"],
+    ["decide", "+1*[x]"],
+    ["spherical", "P", "P"],
+], ids=" ".join)
+def test_query_argument_count_is_checked(tokens):
+    scn = parse_scenario(BASIC)
+    with pytest.raises(ParseError, match=f"usage: {tokens[0]} "):
+        execute_query(scn, tokens, I.Bounds())
+
+
 def test_duplicate_group_rejected():
     bad = "group free x y\ngroup free z w\n"
     with pytest.raises(ParseError):
@@ -82,12 +133,12 @@ def test_print_parse_round_trip_of_a_built_link():
     pl = I.build_phi_link(k1, k2, [linktraces["lt1"]], [linktraces["lt2"]],
                           [spheres["s"]], [spheres["t"]])
     scn = Scenario(spec, {"k1": k1, "k2": k2}, traces, spheres, linktraces,
-                   philinks={"PL": pl},
+                   phis={"PL": pl},
                    queries=[["decide", "+1*[x]", "+2*[x]", "PL"]])
     text = print_scenario(scn)
     assert "philink PL knots k1 k2 toroidal1 lt1 toroidal2 lt2 left s right t" in text
     scn2 = parse_scenario(text)
-    assert scn2.philinks == scn.philinks
+    assert scn2.phis == scn.phis
     assert (execute_query(scn2, scn2.queries[0], I.Bounds())
             == execute_query(scn, scn.queries[0], I.Bounds()))
     assert print_scenario(scn2) == text
