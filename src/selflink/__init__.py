@@ -36,10 +36,9 @@ from .linking import (Knot, LinkTrace, SphereData, Trace, compose, connect_sum,
                       realize_trace, rebase, sphere_for_unlink_complement,
                       sphere_pairing_context, translate_points)
 from .scenario import Scenario, execute_query, parse_scenario, print_scenario
-from .separators import (LatticeQuotient, PushedContext, Separator,
-                         abelianization, cyclic_separator,
-                         default_separator_suite, hermite_form,
-                         lattice_member, lattice_solve, push_forward,
-                         quotient_decide)
+from .separators import (PushedContext, Separator, abelianization,
+                         cyclic_separator, default_separator_suite,
+                         hermite_form, lattice_member, lattice_solve,
+                         push_forward)
 
 __version__ = "0.1.0"

@@ -18,7 +18,6 @@ e.g. ``+1*[x] -1*[x y]``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -43,13 +42,6 @@ class RingContext:
     flavor: str
     gamma: G.GroupElement | None = None
     delta: G.GroupElement | None = None
-
-    def describe(self) -> str:
-        if self.flavor == COSET:
-            return f"coset[{G.format_word(self.gamma)}]"
-        if self.flavor == TWO_SIDED:
-            return f"two_sided[{G.format_word(self.gamma)}; {G.format_word(self.delta)}]"
-        return self.flavor
 
     @cached_property
     def _orbit_rule(self):
@@ -195,13 +187,8 @@ def _orbit_min(spec, candidates, left, right):
                         best, key_best = cand, k
 
 
-# Closed forms.  Free-group words are handled as tuples of shortlex codes,
-# 2i for generator i and 2i + 1 for its inverse (the codes shortlex_key
-# compares), so a code and its inverse differ in the last bit.
-
-
-def _inverse_codes(w):
-    return tuple(c ^ 1 for c in reversed(w))
+# Closed forms.  Free-group words are handled as tuples of shortlex codes
+# (GroupElement.codes).
 
 
 def _seam(a, b):
@@ -212,26 +199,12 @@ def _seam(a, b):
     return a[:len(a) - k] + b[k:]
 
 
-def _from_codes(spec, w):
-    """The element spelled by a reduced code tuple, without renormalizing."""
-    sylls = []
-    for c, run in itertools.groupby(w):
-        n = sum(1 for _ in run)
-        sylls.append((c >> 1, -n if c & 1 else n))
-    return G.GroupElement(spec, tuple(sylls))
-
-
-def _primitive_root(w):
-    n = len(w)
-    return next(w[:d] for d in range(1, n + 1) if n % d == 0 and w[:d] * (n // d) == w)
-
-
 def _common_root_length(a, b):
     """The length of the maximal roots of the cyclically reduced code tuples
     a and b when those roots are conjugate up to inversion (some conjugate
     of a power of a is a power of b), else 0."""
-    ra, rb = _primitive_root(a), _primitive_root(b)
-    if len(ra) == len(rb) and any(r[i:] + r[:i] == rb for r in (ra, _inverse_codes(ra))
+    ra, rb = a[:G._period(a)], b[:G._period(b)]
+    if len(ra) == len(rb) and any(r[i:] + r[:i] == rb for r in (ra, G._inverse_codes(ra))
                                   for i in range(len(r))):
         return len(ra)
     return 0
@@ -242,12 +215,12 @@ def _free_side(s):
     when s is not cyclically reduced."""
     if G.is_identity(s):
         return ()
-    w = G.shortlex_key(s)[1]
+    w = s.codes
     return None if w[0] == w[-1] ^ 1 else w
 
 
 def _periods(w):
-    return (w, _inverse_codes(w)) if w else ()
+    return (w, G._inverse_codes(w)) if w else ()
 
 
 def _powers(w, reach):
@@ -255,7 +228,7 @@ def _powers(w, reach):
     w repeated."""
     if not w:
         return ((),)
-    v = _inverse_codes(w)
+    v = G._inverse_codes(w)
     return tuple(v * n for n in range(reach, 0, -1)) + tuple(w * n for n in range(reach + 1))
 
 
@@ -273,7 +246,7 @@ def _free_orbit_min(spec, left_periods, right_periods, left_powers,
     """
     best = None
     for cand in candidates:
-        w = G.shortlex_key(cand)[1]
+        w = cand.codes
         s, e = 0, len(w)
         for p in left_periods:
             while w[s:s + len(p)] == p:
@@ -289,7 +262,7 @@ def _free_orbit_min(spec, left_periods, right_periods, left_powers,
                 key = (len(word), word)
                 if best is None or key < best:
                     best = key
-    return _from_codes(spec, best[1])
+    return G._from_codes(spec, best[1])
 
 
 def _central_exponent(t, s):
@@ -378,32 +351,14 @@ def _choose_orbit_rule(spec, left, right):
     return partial(_orbit_min, spec, left=left, right=right)
 
 
-def _cyclic_core(spec, g):
-    """Conjugacy-minimal core of g: g is conjugate to the returned element."""
-    if spec.kind == G.FREE:
-        _, core = G._cyclic_reduce_letters(g.letters)
-        return G.make_element(spec, core)
-    if spec.kind == G.FREE_ABELIAN:
-        return g
-    if spec.kind == G.FREE_TIMES_Z:
-        free_part, c = G._ftz_split(spec, g)
-        letters = G.make_element(spec, free_part).letters
-        _, core = G._cyclic_reduce_letters(letters)
-        sylls = list(core) + ([(spec.central_index, c)] if c else [])
-        return G.make_element(spec, sylls)
-    _, runs = G._cyclic_reduce_runs(spec, g)
-    return G.make_element(spec, [s for _, run in runs for s in run])
-
-
 def _conjugacy_min(spec, g):
+    """The conjugacy key of g: the least rotation of the words of the
+    cyclic cores of g and g^-1, renormalized."""
     best = None
     for cand in (g, G.invert(g)):
-        core = _cyclic_core(spec, cand)
-        letters = list(core.letters)
-        if not letters:
-            return core
-        for r in range(len(letters)):
-            rot = G.make_element(spec, letters[r:] + letters[:r])
+        w = G.cyclic_core(cand).codes
+        for r in range(len(w)):
+            rot = G.make_element(spec, G._code_syllables(w[r:] + w[:r]))
             if best is None or G.shortlex_key(rot) < G.shortlex_key(best):
                 best = rot
     return best
@@ -459,12 +414,6 @@ class RingElement:
 
     def __sub__(self, other):
         return add(self, negate(other))
-
-    def coefficient(self, key: CosetKey) -> int:
-        for k, c in self.terms:
-            if k == key:
-                return c
-        return 0
 
     def support(self) -> list[CosetKey]:
         return [k for k, _ in self.terms]

@@ -15,12 +15,13 @@ serialize as whitespace-separated signed symbols, e.g. ``x y^-1 x^2``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import IdentityInput, SpecMismatch, UnknownGenerator, Unsupported
+from .errors import IdentityInput, SpecMismatch, UnknownGenerator
 
 FREE = "free"
 FREE_ABELIAN = "free_abelian"
@@ -60,19 +61,21 @@ class GroupSpec:
                 raise ValueError("free_product labels must concatenate the factor labels")
 
     @cached_property
-    def _factor_of(self) -> tuple[int, ...]:
-        out = []
-        for fi, f in enumerate(self.factors):
-            out.extend([fi] * len(f.labels))
+    def _parts(self) -> tuple[tuple["GroupSpec", int], ...]:
+        """(factor, index of its first label) per free factor.  A spec that
+        is not a free product is its own single factor, so every per-kind
+        rule is written once, for a factor."""
+        if self.kind != FREE_PRODUCT:
+            return ((self, 0),)
+        out, offset = [], 0
+        for f in self.factors:
+            out.append((f, offset))
+            offset += len(f.labels)
         return tuple(out)
 
     @cached_property
-    def _factor_offset(self) -> tuple[int, ...]:
-        offs, total = [], 0
-        for f in self.factors:
-            offs.append(total)
-            total += len(f.labels)
-        return tuple(offs)
+    def _factor_of(self) -> tuple[int, ...]:
+        return tuple(fi for fi, (f, _) in enumerate(self._parts) for _ in f.labels)
 
     @property
     def central_index(self) -> int:
@@ -145,7 +148,8 @@ def _norm_ftz(sylls, central):
 
 
 def _norm_factor(factor: GroupSpec, offset: int, sylls):
-    """Normalize a run of syllables that all belong to one product factor."""
+    """Normalize syllables that all belong to one factor, whose first label
+    has index offset."""
     if factor.kind == FREE:
         return _norm_run(sylls)
     if factor.kind == FREE_ABELIAN:
@@ -153,42 +157,22 @@ def _norm_factor(factor: GroupSpec, offset: int, sylls):
     return _norm_ftz(sylls, offset + factor.central_index)
 
 
-def _norm_product(spec: GroupSpec, sylls):
-    fac = spec._factor_of
-    offs = spec._factor_offset
-    stack = []  # (factor_index, normalized syllable list)
-    for i, e in sylls:
-        if e == 0:
-            continue
-        f = fac[i]
-        if stack and stack[-1][0] == f:
-            merged = _norm_factor(spec.factors[f], offs[f], stack[-1][1] + [(i, e)])
-            stack.pop()
-            if merged:
-                stack.append((f, merged))
-        else:
-            one = _norm_factor(spec.factors[f], offs[f], [(i, e)])
-            if one:
-                stack.append((f, one))
-        # a pop may expose two runs of the same factor
-        while len(stack) >= 2 and stack[-2][0] == stack[-1][0]:
-            f2 = stack[-1][0]
-            merged = _norm_factor(spec.factors[f2], offs[f2], stack[-2][1] + stack[-1][1])
-            stack.pop()
-            stack.pop()
-            if merged:
-                stack.append((f2, merged))
-    return [s for _, run in stack for s in run]
-
-
 def _normalize_syllables(spec: GroupSpec, sylls):
-    if spec.kind == FREE:
-        return tuple(_norm_run(sylls))
-    if spec.kind == FREE_ABELIAN:
-        return tuple(_norm_abelian(sylls))
-    if spec.kind == FREE_TIMES_Z:
-        return tuple(_norm_ftz(sylls, spec.central_index))
-    return tuple(_norm_product(spec, sylls))
+    """Normal form: each maximal run of one factor's syllables is normalized
+    by that factor's rule, and runs that meet after a cancellation merge."""
+    parts = spec._parts
+    if len(parts) == 1:  # one run; GroupElement rejects an index out of range
+        return tuple(_norm_factor(spec, 0, sylls))
+    fac = spec._factor_of
+    stack = []  # (factor index, normalized run); neighbours differ in factor
+    for f, run in itertools.groupby(sylls, key=lambda s: fac[s[0]]):
+        run = list(run)
+        if stack and stack[-1][0] == f:
+            run = stack.pop()[1] + run
+        run = _norm_factor(*parts[f], run)
+        if run:
+            stack.append((f, run))
+    return tuple(s for _, run in stack for s in run)
 
 
 @dataclass(frozen=True)
@@ -214,13 +198,9 @@ class GroupElement:
         return bool(self.syllables)
 
     @cached_property
-    def letters(self) -> tuple[tuple[int, int], ...]:
-        """Expansion into single letters (index, +-1)."""
-        out = []
-        for i, e in self.syllables:
-            s = 1 if e > 0 else -1
-            out.extend([(i, s)] * abs(e))
-        return tuple(out)
+    def codes(self) -> tuple[int, ...]:
+        """The word spelled as shortlex codes, one per letter."""
+        return _codes(self.syllables)
 
     def length(self) -> int:
         return sum(abs(e) for _, e in self.syllables)
@@ -300,12 +280,54 @@ def power(a: GroupElement, n: int) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# total order: shortlex on letters, inverses right after their generator
+# total order: shortlex on letters, inverses right after their generator.
+# A word is spelled as a tuple of codes, 2i for generator i and 2i + 1 for
+# its inverse, so a code and its inverse differ in the last bit.
+
+
+def _codes(sylls) -> tuple[int, ...]:
+    out = []
+    for i, e in sylls:
+        out.extend([2 * i + (e < 0)] * abs(e))
+    return tuple(out)
+
+
+def _code_syllables(w) -> tuple[tuple[int, int], ...]:
+    """The syllables of a code tuple, equal neighbouring codes merged."""
+    out = []
+    for c, run in itertools.groupby(w):
+        n = sum(1 for _ in run)
+        out.append((c >> 1, -n if c & 1 else n))
+    return tuple(out)
+
+
+def _from_codes(spec: GroupSpec, w) -> GroupElement:
+    """The element spelled by a freely reduced code tuple, without
+    renormalizing."""
+    return GroupElement(spec, _code_syllables(w))
+
+
+def _inverse_codes(w):
+    return tuple(c ^ 1 for c in reversed(w))
+
+
+def _period(w) -> int:
+    """The least d with w equal to w[:d] repeated, for a nonempty tuple."""
+    n = len(w)
+    return next(d for d in range(1, n + 1) if n % d == 0 and w[:d] * (n // d) == w)
+
+
+def _cyclic_split(w):
+    """(h, core) with w = h + core + h^-1 and core cyclically reduced, for a
+    freely reduced code tuple w."""
+    k = 0
+    while len(w) - 2 * k >= 2 and w[k] == w[-1 - k] ^ 1:
+        k += 1
+    return w[:k], w[k:len(w) - k]
 
 
 def shortlex_key(a: GroupElement):
-    letters = a.letters
-    return (len(letters), tuple(2 * i + (0 if s > 0 else 1) for i, s in letters))
+    return (len(a.codes), a.codes)
 
 
 def shortlex_min(elems):
@@ -339,50 +361,64 @@ def format_word(a: GroupElement) -> str:
 
 
 # ---------------------------------------------------------------------------
-# maximal roots
+# maximal roots, centralizers and cyclic cores, one rule per factor
 
 
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _root_letters(letters):
-    """Smallest period of a letter tuple; returns (period_prefix, power)."""
-    n = len(letters)
-    for d in _divisors(n):
-        if all(letters[i] == letters[i - d] for i in range(d, n)):
-            return letters[:d], n // d
-    raise AssertionError("unreachable: n is always a period")
-
-
-def _letters_to_sylls(letters):
-    return [(i, s) for i, s in letters]
-
-
-def _cyclic_reduce_letters(letters):
-    """letters = h + core + h^-1 with core cyclically reduced; returns (h, core)."""
+def _cyclic_runs(g: GroupElement):
+    """(h, runs) with g = h w h^-1, where w is the product of runs, a list
+    of (factor index, syllables) whose first and last runs lie in different
+    factors.  A spec that is not a free product is one factor, so there a
+    nontrivial g is a single run."""
+    spec = g.spec
+    fac = spec._factor_of
+    runs = [(f, tuple(run))
+            for f, run in itertools.groupby(g.syllables, key=lambda s: fac[s[0]])]
     h = []
-    L = list(letters)
-    while len(L) >= 2 and L[0][0] == L[-1][0] and L[0][1] == -L[-1][1]:
-        h.append(L[0])
-        L = L[1:-1]
-    return h, L
+    while len(runs) >= 2 and runs[0][0] == runs[-1][0]:
+        f, first = runs[0]
+        h.extend(first)
+        merged = _norm_factor(*spec._parts[f], list(runs[-1][1]) + list(first))
+        runs = runs[1:-1]
+        if merged:
+            runs.append((f, tuple(merged)))
+    return make_element(spec, h), runs
 
 
-def _root_free_sylls(spec, sylls):
-    elem = make_element(spec, sylls)
-    h, core = _cyclic_reduce_letters(elem.letters)
-    prefix, p = _root_letters(tuple(core))
-    inv_h = [(i, -s) for i, s in reversed(h)]
-    root = make_element(spec, _letters_to_sylls(h) + _letters_to_sylls(list(prefix)) + inv_h)
-    return root, p
+def _split_run(factor: GroupSpec, offset: int, run):
+    """(free part, commuting part) of a normalized run of one factor: the
+    commuting part is the whole run in a free abelian factor, the central
+    syllable in a free x Z factor and empty in a free factor."""
+    if factor.kind == FREE_ABELIAN:
+        return (), run
+    if factor.kind == FREE_TIMES_Z and run[-1][0] == offset + factor.central_index:
+        return run[:-1], run[-1:]
+    return run, ()
 
 
-def _root_abelian_sylls(spec, sylls):
-    vec = dict(_norm_abelian(sylls))
-    d = math.gcd(*[abs(e) for e in vec.values()])
-    root = make_element(spec, [(i, e // d) for i, e in vec.items()])
-    return root, d
+def _root_run(spec: GroupSpec, f: int, run):
+    """(root, power) of a nontrivial run of factor f.  The free part is
+    h c^n h^-1 with c cyclically reduced and not a proper power; it shares
+    the power p = gcd(n, commuting exponents) with the commuting part, and
+    the root is h c^(n/p) h^-1 times the commuting part divided by p."""
+    free_part, commuting = _split_run(*spec._parts[f], run)
+    h = c = ()
+    n = 0
+    if free_part:
+        h, core = _cyclic_split(_codes(free_part))
+        d = _period(core)
+        c, n = core[:d], len(core) // d
+    p = math.gcd(n, *(e for _, e in commuting))
+    free_root = _code_syllables(h + c * (n // p) + _inverse_codes(h))
+    return make_element(spec, free_root + tuple((i, e // p) for i, e in commuting)), p
+
+
+def _root_runs(spec: GroupSpec, runs):
+    """(root, power) of a cyclically reduced run sequence: a single run
+    takes its factor's rule, a longer one its least period."""
+    if len(runs) == 1:
+        return _root_run(spec, *runs[0])
+    d = _period(runs)
+    return make_element(spec, [s for _, run in runs[:d] for s in run]), len(runs) // d
 
 
 def maximal_root(spec: GroupSpec, g: GroupElement) -> tuple[GroupElement, int]:
@@ -391,99 +427,29 @@ def maximal_root(spec: GroupSpec, g: GroupElement) -> tuple[GroupElement, int]:
         raise SpecMismatch("element does not belong to the given spec")
     if is_identity(g):
         raise IdentityInput("the identity has no maximal root")
-    if spec.kind == FREE:
-        return _root_free_sylls(spec, list(g.syllables))
-    if spec.kind == FREE_ABELIAN:
-        return _root_abelian_sylls(spec, list(g.syllables))
-    if spec.kind == FREE_TIMES_Z:
-        return _root_ftz(spec, g)
-    return _root_product(spec, g)
-
-
-def _ftz_split(spec: GroupSpec, g: GroupElement):
-    c = spec.central_index
-    central = sum(e for i, e in g.syllables if i == c)
-    free_part = [(i, e) for i, e in g.syllables if i != c]
-    return free_part, central
-
-
-def _root_ftz(spec: GroupSpec, g: GroupElement):
-    free_part, c = _ftz_split(spec, g)
-    t = spec.central_index
-    if not free_part:
-        p = abs(c)
-        return make_element(spec, [(t, c // p)]), p
-    # roots of (u, c): (r, c/p)^p with r^p = u, so p | gcd(n_max, c)
-    root_u, n = _root_free_sylls(spec, free_part)
-    p = n if c == 0 else math.gcd(n, abs(c))
-    root = make_element(spec, _letters_to_sylls(power(root_u, n // p).letters) + [(t, c // p)])
-    return root, p
-
-
-def _product_runs(spec: GroupSpec, sylls):
-    fac = spec._factor_of
-    runs = []
-    for s in sylls:
-        f = fac[s[0]]
-        if runs and runs[-1][0] == f:
-            runs[-1][1].append(s)
-        else:
-            runs.append((f, [s]))
-    return runs
-
-
-def _cyclic_reduce_runs(spec: GroupSpec, g: GroupElement):
-    """g = h * w * h^-1 with w cyclically reduced as a run sequence."""
-    offs = spec._factor_offset
-    runs = [(f, tuple(r)) for f, r in _product_runs(spec, list(g.syllables))]
-    h_sylls = []
-    while len(runs) >= 2 and runs[0][0] == runs[-1][0]:
-        f, first = runs[0]
-        h_sylls.extend(first)
-        merged = _norm_factor(spec.factors[f], offs[f], list(runs[-1][1]) + list(first))
-        runs = runs[1:-1]
-        if merged:
-            runs.append((f, tuple(merged)))
-    h = make_element(spec, h_sylls)
-    return h, runs
-
-
-def _root_product(spec: GroupSpec, g: GroupElement):
-    offs = spec._factor_offset
-    h, runs = _cyclic_reduce_runs(spec, g)
-    if len(runs) == 1:
-        f, run = runs[0]
-        factor = spec.factors[f]
-        if factor.kind == FREE:
-            r, p = _root_free_sylls(spec, list(run))
-        elif factor.kind == FREE_ABELIAN:
-            r, p = _root_abelian_sylls(spec, list(run))
-        else:
-            central = offs[f] + factor.central_index
-            cexp = sum(e for i, e in run if i == central)
-            free_part = [(i, e) for i, e in run if i != central]
-            if not free_part:
-                p = abs(cexp)
-                r = make_element(spec, [(central, cexp // p)])
-            else:
-                r0, n = _root_free_sylls(spec, free_part)
-                p = n if cexp == 0 else math.gcd(n, abs(cexp))
-                r = make_element(spec, _letters_to_sylls(power(r0, n // p).letters) + [(central, cexp // p)])
-        return conjugate(r, h), p
-    m = len(runs)
-    for d in _divisors(m):
-        if all(runs[i] == runs[i - d] for i in range(d, m)):
-            prefix = [s for _, run in runs[:d] for s in run]
-            return conjugate(make_element(spec, prefix), h), m // d
-    raise AssertionError("unreachable")
-
-
-# ---------------------------------------------------------------------------
-# centralizers
+    h, runs = _cyclic_runs(g)
+    root, p = _root_runs(spec, runs)
+    return conjugate(root, h), p
 
 
 def all_generators(spec: GroupSpec) -> list[GroupElement]:
     return [make_element(spec, [(i, 1)]) for i in range(len(spec.labels))]
+
+
+def _centralizer_run(spec: GroupSpec, f: int, run) -> list[GroupElement]:
+    """Centralizer generators of a nontrivial run of factor f: the whole
+    factor when the run commutes with it (free abelian, or a central power),
+    else the root of the free part times the commuting part, plus the
+    central generator of a free x Z factor."""
+    factor, offset = spec._parts[f]
+    free_part, commuting = _split_run(factor, offset, run)
+    if not free_part:
+        return [make_element(spec, [(offset + j, 1)]) for j in range(len(factor.labels))]
+    root, _ = _root_run(spec, f, free_part)
+    gens = [make_element(spec, root.syllables + commuting)]
+    if factor.kind == FREE_TIMES_Z:
+        gens.append(make_element(spec, [(offset + factor.central_index, 1)]))
+    return gens
 
 
 def centralizer_generators(spec: GroupSpec, gamma: GroupElement) -> list[GroupElement]:
@@ -492,52 +458,29 @@ def centralizer_generators(spec: GroupSpec, gamma: GroupElement) -> list[GroupEl
     Free: the maximal root.  Free abelian: everything.  Free times Z: the
     root of the free part (carrying gamma's central exponent) plus the
     central generator, or everything when gamma is central.  Free products:
-    delegate when gamma is conjugate into a factor, otherwise the
-    centralizer is cyclic on the maximal root.
+    the factor's centralizer when gamma is conjugate into a factor,
+    otherwise the centralizer is cyclic on the maximal root.
     """
     if gamma.spec != spec:
         raise SpecMismatch("element does not belong to the given spec")
     if is_identity(gamma):
         return all_generators(spec)
-    if spec.kind == FREE:
-        root, _ = maximal_root(spec, gamma)
-        return [root]
-    if spec.kind == FREE_ABELIAN:
-        return all_generators(spec)
-    if spec.kind == FREE_TIMES_Z:
-        free_part, c = _ftz_split(spec, gamma)
-        if not free_part:
-            return all_generators(spec)
-        root_u, _ = _root_free_sylls(spec, free_part)
-        t = spec.central_index
-        combined = make_element(spec, list(root_u.syllables) + [(t, c)])
-        return [combined, make_element(spec, [(t, 1)])]
-    return _centralizer_product(spec, gamma)
-
-
-def _centralizer_product(spec: GroupSpec, gamma: GroupElement) -> list[GroupElement]:
-    offs = spec._factor_offset
-    h, runs = _cyclic_reduce_runs(spec, gamma)
-    if len(runs) >= 2:
-        root, _ = maximal_root(spec, gamma)
-        return [root]
-    if not runs:
-        raise Unsupported("cannot compute the centralizer of this element")
-    f, run = runs[0]
-    factor = spec.factors[f]
-    if factor.kind == FREE:
-        r, _ = _root_free_sylls(spec, list(run))
-        gens = [r]
-    elif factor.kind == FREE_ABELIAN:
-        gens = [make_element(spec, [(offs[f] + j, 1)]) for j in range(len(factor.labels))]
+    h, runs = _cyclic_runs(gamma)
+    if len(runs) == 1:
+        gens = _centralizer_run(spec, *runs[0])
     else:
-        central = offs[f] + factor.central_index
-        cexp = sum(e for i, e in run if i == central)
-        free_part = [(i, e) for i, e in run if i != central]
-        if not free_part:
-            gens = [make_element(spec, [(offs[f] + j, 1)]) for j in range(len(factor.labels))]
-        else:
-            r0, _ = _root_free_sylls(spec, free_part)
-            gens = [make_element(spec, list(r0.syllables) + [(central, cexp)]),
-                    make_element(spec, [(central, 1)])]
-    return [conjugate(g, h) for g in gens]
+        gens = [_root_runs(spec, runs)[0]]
+    return [conjugate(x, h) for x in gens]
+
+
+def cyclic_core(g: GroupElement) -> GroupElement:
+    """A cyclically reduced conjugate of g; conjugacy keys minimize over the
+    rotations of its word."""
+    spec = g.spec
+    _, runs = _cyclic_runs(g)
+    if len(runs) == 1:
+        f, run = runs[0]
+        free_part, commuting = _split_run(*spec._parts[f], run)
+        _, core = _cyclic_split(_codes(free_part))
+        runs = [(f, _code_syllables(core) + commuting)]
+    return make_element(spec, [s for _, run in runs for s in run])

@@ -109,8 +109,10 @@ def _section(sections, key, count, line_no):
 
 
 def _require(scn, table, name, what, line_no):
+    """table[name]; line_no is None for queries, which keep no line."""
     if name not in table:
-        raise UnresolvedReference(f"line {line_no}: unknown {what} {name!r}")
+        where = "" if line_no is None else f"line {line_no}: "
+        raise UnresolvedReference(f"{where}unknown {what} {name!r}")
     return table[name]
 
 
@@ -275,6 +277,15 @@ def _fmt_points(points) -> str:
     return " ".join(f"( {'+' if s > 0 else '-'} {_fmt_word(g)} )" for s, g in points)
 
 
+def _name_of(table, match, what, owner):
+    """The name of the first entry of table that match accepts; a built
+    scenario names its traces and spheres only through its tables."""
+    name = next((n for n, v in table.items() if match(v)), None)
+    if name is None:
+        raise UnresolvedReference(f"{owner} uses a {what} that the scenario does not name")
+    return name
+
+
 def print_scenario(scn: Scenario) -> str:
     """Text that parses back to an equivalent scenario.
 
@@ -309,23 +320,25 @@ def print_scenario(scn: Scenario) -> str:
     for name, s in scn.spheres.items():
         out.append(f"sphere {name} points {_fmt_points(s.points)}")
     for name, lt in scn.linktraces.items():
-        t1 = next(n for n, t in scn.traces.items() if t == lt.trace1)
-        t2 = next(n for n, t in scn.traces.items() if t == lt.trace2)
+        owner = f"linktrace {name!r}"
+        t1 = _name_of(scn.traces, lambda t: t == lt.trace1, "trace", owner)
+        t2 = _name_of(scn.traces, lambda t: t == lt.trace2, "trace", owner)
         line = f"linktrace {name} : {t1} {t2}"
         if lt.cross_points:
             line += f" cross {_fmt_points(lt.cross_points)}"
         out.append(line)
 
-    def sphere_names(spheres):
-        return " ".join(next(n for n, s in scn.spheres.items() if s.points == sp.points)
-                        for sp in spheres)
-
     for name, phi in scn.phis.items():
+        owner = f"presentation {name!r}"
         if len(phi.knots) == 1:
-            tor = " ".join(next(n for n, t in scn.traces.items()
-                                if L.mu_trace(t) == g.z and (t.latitude,) == g.parts)
+            k = phi.knots[0]
+            if phi == I.phi_conjugation_only(k):
+                out.append(f"phi {name} conjugation {k.label}")
+                continue
+            tor = " ".join(_name_of(scn.traces, lambda t: L.mu_trace(t) == g.z
+                                    and (t.latitude,) == g.parts, "trace", owner)
                            for g in phi.toroidal)
-            line = f"phi {name} knot {phi.knots[0].label} toroidal {tor}".rstrip()
+            line = f"phi {name} knot {k.label} toroidal {tor}".rstrip()
             sides = (("spheres", False),)
         else:
             line = f"philink {name} knots {phi.knots[0].label} {phi.knots[1].label}"
@@ -334,15 +347,17 @@ def print_scenario(scn: Scenario) -> str:
                                   ("toroidal2", phi.toroidal[n1:])):
                 if gens:
                     line += f" {section} " + " ".join(
-                        next(n for n, lt in scn.linktraces.items()
-                             if L.lambda_link(lt) == g.z
-                             and (lt.trace1.latitude, lt.trace2.latitude) == g.parts)
+                        _name_of(scn.linktraces, lambda lt: L.lambda_link(lt) == g.z
+                                 and (lt.trace1.latitude, lt.trace2.latitude) == g.parts,
+                                 "linktrace", owner)
                         for g in gens)
             sides = (("left", False), ("right", True))
         for section, right in sides:
-            spheres = [s for s, r in phi.sided_spheres if r == right]
+            spheres = [_name_of(scn.spheres, lambda s: s.points == sp.points,
+                                "sphere", owner)
+                       for sp, r in phi.sided_spheres if r == right]
             if spheres:
-                line += f" {section} {sphere_names(spheres)}"
+                line += f" {section} {' '.join(spheres)}"
         out.append(line)
     for q in scn.queries:
         out.append("query " + " ".join(shlex.quote(t) for t in q))
@@ -396,26 +411,26 @@ def execute_query(scn: Scenario, tokens, bounds: I.Bounds) -> dict:
         rec["result"] = _fmt_word(w)
 
     elif cmd == "canon":
-        k = _require(scn, scn.knots, args[0], "knot", "?")
+        k = _require(scn, scn.knots, args[0], "knot", None)
         ctx = R.coset_ring(spec, k.gamma)
         key = R.canonicalize(ctx, _word(spec, " ".join(args[1:]).split(), None))
         rec["result"] = "0" if key is None else f"[{_fmt_word(key.representative)}]"
 
     elif cmd == "mu":
-        t = _require(scn, scn.traces, args[0], "trace", "?")
+        t = _require(scn, scn.traces, args[0], "trace", None)
         rec["result"] = R.format_ring(L.mu_trace(t))
 
     elif cmd == "lambda":
         if len(args) == 1:
-            lt = _require(scn, scn.linktraces, args[0], "linktrace", "?")
+            lt = _require(scn, scn.linktraces, args[0], "linktrace", None)
             rec["result"] = R.format_ring(L.lambda_link(lt))
         else:
-            s = _require(scn, scn.spheres, args[0], "sphere", "?")
-            k = _require(scn, scn.knots, args[1], "knot", "?")
+            s = _require(scn, scn.spheres, args[0], "sphere", None)
+            k = _require(scn, scn.knots, args[1], "knot", None)
             rec["result"] = R.format_ring(L.lambda_sphere(s, k))
 
     elif cmd == "relative":
-        t = _require(scn, scn.traces, args[0], "trace", "?")
+        t = _require(scn, scn.traces, args[0], "trace", None)
         phi = _find_phi(scn, args[1] if len(args) > 1 else None)
         y = L.mu_trace(t)
         rec["result"] = R.format_ring(y)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import cosets as R
 from . import groups as G
@@ -146,55 +145,23 @@ def lattice_solve(A, v):
     return out
 
 
-@dataclass(frozen=True)
-class LatticeQuotient:
-    """Ambient basis plus a relation matrix whose columns span the pushed
-    relation differences; membership is decided exactly by
-    `lattice_solve`."""
-    basis: tuple
-    matrix: tuple[tuple[int, ...], ...]  # rows indexed like basis
-
-    @cached_property
-    def _index(self):
-        return {b: i for i, b in enumerate(self.basis)}
-
-    def vectorize(self, coeffs: dict) -> list[int]:
-        v = [0] * len(self.basis)
-        for key, c in coeffs.items():
-            if key not in self._index:
-                raise DimensionMismatch(f"key {key!r} outside the ambient basis")
-            v[self._index[key]] = c
-        return v
-
-    @classmethod
-    def from_relations(cls, relations, extra_keys=()):
-        keys = dict.fromkeys(itertools.chain(*relations, extra_keys))
-        keys = tuple(sorted(keys, key=repr))  # keys need not be mutually orderable
-        index = {k: i for i, k in enumerate(keys)}
-        matrix = [[0] * len(relations) for _ in keys]
-        for j, rel in enumerate(relations):
-            for k, c in rel.items():
-                matrix[index[k]][j] = c
-        return cls(keys, tuple(map(tuple, matrix)))
-
-
-def quotient_decide(lq: LatticeQuotient, v1, v2):
-    """'equal' iff v1 - v2 lies in the relation column lattice; total."""
-    diff = [a - b for a, b in zip(v1, v2)]
-    if len(diff) != len(lq.basis):
-        raise DimensionMismatch("vectors do not match the ambient basis")
-    coeffs = lattice_solve([list(r) for r in lq.matrix], diff)
-    return ("equal", coeffs) if coeffs is not None else ("distinct", None)
-
-
 def lattice_member(relations, coeffs: dict):
     """Membership of a sparse vector in the span of sparse relation vectors.
 
     Returns the integer combination or None.  Total: combinations cannot
     leave the union of supports, so restricting there is exact.
     """
-    lq = LatticeQuotient.from_relations(relations, extra_keys=tuple(coeffs))
-    return lattice_solve([list(r) for r in lq.matrix], lq.vectorize(coeffs))
+    keys = dict.fromkeys(itertools.chain(*relations, coeffs))
+    keys = sorted(keys, key=repr)  # keys need not be mutually orderable
+    index = {k: i for i, k in enumerate(keys)}
+    matrix = [[0] * len(relations) for _ in keys]
+    for j, rel in enumerate(relations):
+        for k, c in rel.items():
+            matrix[index[k]][j] = c
+    v = [0] * len(keys)
+    for k, c in coeffs.items():
+        v[index[k]] = c
+    return lattice_solve(matrix, v)
 
 
 # ---------------------------------------------------------------------------

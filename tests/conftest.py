@@ -47,6 +47,7 @@ AB1 = S.free_abelian("x")
 AB2 = S.free_abelian("x", "y")
 FXZ = S.free_times_z("x", "y", "z", "t")
 PROD = S.free_product(S.free("x", "y"), S.free_abelian("z"))
+PROD_FXZ = S.free_product(S.free_times_z("x", "y", "t"), S.free("u"), S.free_abelian("v", "w"))
 
 
 ALL_SPECS = [FREE2, FREE3, AB1, AB2, FXZ]

@@ -159,6 +159,11 @@ def test_malformed_input_is_an_error(text, argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_query_time_unknown_name_has_no_line_number(scn_file, capsys):
+    assert main(["mu", scn_file, "nosuch"]) == 1
+    assert capsys.readouterr().err == "error: unknown trace 'nosuch'\n"
+
+
 def test_bounds_flags_are_threaded(scn_file, capsys):
     assert main(["--json", "--depth", "3", "--translate-len", "2",
                  "--support-len", "9", "--max-states", "700",

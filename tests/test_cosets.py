@@ -280,11 +280,15 @@ def test_reduced_ring_identifies_inverses():
 
 
 def test_conjugacy_ring_identifies_conjugates(rng):
-    ctx = R.conjugacy_ring(FREE2)
-    for _ in range(100):
-        w = random_word(rng, FREE2, 5)
-        a = random_word(rng, FREE2, 3)
-        assert R.canonicalize(ctx, S.conjugate(w, a)) == R.canonicalize(ctx, w)
+    for spec in (FREE2, FXZ, PROD):
+        ctx = R.conjugacy_ring(spec)
+        for _ in range(100):
+            w = random_word(rng, spec, 5)
+            a = random_word(rng, spec, 3)
+            key = R.canonicalize(ctx, w)
+            assert R.canonicalize(ctx, S.conjugate(w, a)) == key
+            if key is not None:
+                assert key.representative == oracle_min(ctx, w)[0], S.format_word(w)
 
 
 def test_two_sided_ring_keeps_identity_class():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import selflink as S
-from conftest import ALL_SPECS, FREE2, FXZ, PROD, random_word
+from conftest import ALL_SPECS, FREE2, FXZ, PROD, PROD_FXZ, random_word
 
 
 def test_free_normal_form_cancellation():
@@ -91,6 +91,13 @@ def test_shortlex_is_a_total_order_refining_length(rng):
     lengths = [k[0] for k in keys]
     assert lengths == sorted(lengths)
     assert S.shortlex_key(S.identity(FREE2)) == min(keys + [S.shortlex_key(S.identity(FREE2))])
+    # the key is (length, letters), a letter of generator i coded 2i and of
+    # its inverse 2i + 1
+    for spec in ALL_SPECS + [PROD, PROD_FXZ]:
+        for _ in range(100):
+            w = random_word(rng, spec, 8)
+            letters = tuple(2 * i + (e < 0) for i, e in w.syllables for _ in range(abs(e)))
+            assert S.shortlex_key(w) == (len(letters), letters)
 
 
 def test_shortlex_min_picks_least(rng):
@@ -99,7 +106,7 @@ def test_shortlex_min_picks_least(rng):
     assert all(S.shortlex_key(m) <= S.shortlex_key(w) for w in ws)
 
 
-def test_maximal_root():
+def test_maximal_root(rng):
     G = FREE2
     w = S.parse_word(G, "x y x y x y")
     root, n = S.maximal_root(G, w)
@@ -108,6 +115,16 @@ def test_maximal_root():
     assert n == 1
     root, n = S.maximal_root(G, S.power(S.generator(G, "x"), -6))
     assert S.power(root, n) == S.power(S.generator(G, "x"), -6)
+    # conjugated proper powers: the root is a root and is not itself a power
+    for spec in ALL_SPECS + [PROD, PROD_FXZ]:
+        for _ in range(150):
+            g = S.conjugate(S.power(random_word(rng, spec, 5), rng.choice((1, 2, 3, -2))),
+                            random_word(rng, spec, 3))
+            if S.is_identity(g):
+                continue
+            root, p = S.maximal_root(spec, g)
+            assert S.power(root, p) == g, S.format_word(g)
+            assert S.maximal_root(spec, root)[1] == 1, S.format_word(g)
 
 
 def test_centralizer_generators_free_is_root():
@@ -135,7 +152,7 @@ def test_centralizer_generators_abelian_is_everything():
 
 
 def test_centralizer_membership(rng):
-    for spec in ALL_SPECS:
+    for spec in ALL_SPECS + [PROD, PROD_FXZ]:
         for _ in range(100):
             gamma = random_word(rng, spec, 4)
             if S.is_identity(gamma):

@@ -144,6 +144,39 @@ def test_print_parse_round_trip_of_a_built_link():
     assert print_scenario(scn2) == text
 
 
+def test_print_parse_round_trip_of_a_built_conjugation_presentation():
+    spec = S.free("x", "y")
+    k = L.Knot("k", S.parse_word(spec, "x y"))
+    scn = Scenario(spec, {"k": k}, phis={"P": I.phi_conjugation_only(k)})
+    text = print_scenario(scn)
+    assert "phi P conjugation k" in text.splitlines()
+    assert parse_scenario(text).phis == scn.phis
+
+
+def _built_with_unnamed(entry):
+    """A built scenario whose presentation P uses a trace, sphere or link
+    trace that the scenario's tables leave out."""
+    spec = S.free("x", "y")
+    x, y = S.generator(spec, "x"), S.generator(spec, "y")
+    k = L.Knot("k", S.multiply(x, y))
+    h = L.Trace(k, k, ((1, x), (1, S.invert(y))), k.gamma)  # mu = 2[x]
+    s = L.SphereData("s", ((1, S.identity(spec)), (-1, x)))
+    if entry == "trace":
+        return Scenario(spec, {"k": k}, phis={"P": I.build_phi(k, [h])})
+    if entry == "sphere":
+        return Scenario(spec, {"k": k}, {"h": h}, phis={"P": I.build_phi(k, [h], [s])})
+    e = L.Trace(k, k, (), S.identity(spec))
+    lt1, lt2 = L.LinkTrace(h, e, ((1, y),)), L.LinkTrace(e, h, ())
+    return Scenario(spec, {"k": k}, {"h": h, "e": e},
+                    phis={"P": I.build_phi_link(k, k, [lt1], [lt2])})
+
+
+@pytest.mark.parametrize("entry", ["trace", "sphere", "linktrace"])
+def test_print_scenario_names_a_presentation_with_unnamed_entries(entry):
+    with pytest.raises(UnresolvedReference, match=f"presentation 'P' uses a {entry} "):
+        print_scenario(_built_with_unnamed(entry))
+
+
 def test_execute_mu_query():
     scn = parse_scenario(BASIC)
     rec = execute_query(scn, scn.queries[0], I.Bounds())
