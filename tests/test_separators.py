@@ -239,6 +239,9 @@ def test_lattice_member_sparse():
     assert SEP.lattice_member([r1, r2], {"a": 1, "c": -1}) is not None
     assert SEP.lattice_member([r1, r2], {"a": 1}) is None
     assert SEP.lattice_member([], {}) == []
+
+
+def test_quotient_decide_mod_structure():
     # single relation x + x^2 = 0 over basis (x, x^2): quotient Z x Z / <(1,1)>
     rel = {"x": 1, "x2": 1}
     assert SEP.lattice_member([rel], {"x": 2, "x2": 2}) == [2]
