@@ -9,22 +9,19 @@ with homomorphic abelian separators (``separators``) certifying
 inequalities, and a scenario-file CLI (``scenario``, ``cli``).
 """
 
-from .cosets import (CosetKey, RingContext, RingElement, add, biact,
-                     canonicalize, conj_act, conjugacy_ring, coset_ring,
-                     format_ring, from_terms, negate, parse_ring, plain_ring,
-                     project_pi, reduced_ring, scale, single, two_sided_ring,
-                     zero)
+from .cosets import (RingContext, RingElement, add, biact, canonicalize,
+                     conj_act, conjugacy_ring, coset_ring, format_ring,
+                     from_terms, negate, parse_ring, plain_ring, project_pi,
+                     reduced_ring, scale, single, two_sided_ring, zero)
 from .errors import (DimensionMismatch, EndpointMismatch, IdentityInput,
                      InvariantViolation, LatitudeMismatch, NonVanishingLinking,
                      NotInCentralizer, NotSelfTrace, ParseError, SelfLinkError,
-                     SpecMismatch, UnknownGenerator, UnresolvedReference,
-                     Unsupported)
+                     SpecMismatch, UnknownGenerator, UnresolvedReference)
 from .groups import (GroupElement, GroupSpec, all_generators,
                      centralizer_generators, commutes, conjugate, format_word,
                      free, free_abelian, free_product, free_times_z, generator,
                      identity, invert, is_identity, make_element, maximal_root,
-                     multiply, normalize, parse_word, power, shortlex_key,
-                     shortlex_min)
+                     multiply, parse_word, power, shortlex_key, shortlex_min)
 from .indeterminacy import (Bounds, Certificate, DecisionResult, PhiGen,
                             PhiGroup, act, act_inverse, build_phi,
                             build_phi_link, decide_equal, decide_equal_link,

@@ -1,19 +1,21 @@
 """Arithmetic and canonicalization in the coset-class rings.
 
-Five flavors of context are supported, all additive groups on canonical
+Three flavors of context are supported, all additive groups on canonical
 class keys:
 
-  plain      the full integer group ring, one class per element
-  reduced    classes {g, g^-1}, trivial class dropped
   coset      double cosets by powers of gamma on both sides, inversion,
              trivial orbit dropped
   two_sided  cosets gamma^n g delta^m, no inversion, nothing dropped
   conjugacy  conjugacy classes modulo inversion, trivial class dropped
 
-Keys are canonicalized to the shortlex-least element of the orbit, so
-class equality is word equality.  Elements serialize as signed
-integer-coefficient sums of class representatives in shortlex order,
-e.g. ``+1*[x] -1*[x y]``.
+Two more constructors are the trivial-side cases: ``plain_ring`` is the
+two-sided ring with gamma = delta = 1, the full integer group ring with
+one class per element, and ``reduced_ring`` is the coset ring with
+gamma = 1, whose classes are {g, g^-1} with the trivial class dropped.
+
+A class key is the shortlex-least element of its orbit, so class equality
+is word equality.  Elements serialize as signed integer-coefficient sums
+of class keys in shortlex order, e.g. ``+1*[x] -1*[x y]``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from functools import cached_property, lru_cache, partial
 from . import groups as G
 from .errors import NotInCentralizer, ParseError, SpecMismatch
 
+# not the flavor of any context (plain_ring and reduced_ring build two_sided
+# and coset contexts); bench/tracer.py reads the names
 PLAIN = "plain"
 REDUCED = "reduced"
 COSET = "coset"
@@ -53,41 +57,29 @@ class RingContext:
 
 
 def plain_ring(spec: G.GroupSpec) -> RingContext:
-    return RingContext(spec, PLAIN)
+    """The two-sided ring with trivial sides: one class per element."""
+    return two_sided_ring(spec, G.identity(spec), G.identity(spec))
 
 
 def reduced_ring(spec: G.GroupSpec) -> RingContext:
-    return RingContext(spec, REDUCED)
+    """The coset ring of gamma = 1: classes {g, g^-1}, trivial class dropped."""
+    return coset_ring(spec, G.identity(spec))
 
 
 def coset_ring(spec: G.GroupSpec, gamma: G.GroupElement) -> RingContext:
-    """Relative context for a class gamma; gamma = 1 degenerates to reduced."""
     if gamma.spec != spec:
         raise SpecMismatch("gamma belongs to a different spec")
-    if G.is_identity(gamma):
-        return reduced_ring(spec)
     return RingContext(spec, COSET, gamma)
 
 
 def two_sided_ring(spec: G.GroupSpec, gamma: G.GroupElement, delta: G.GroupElement) -> RingContext:
     if gamma.spec != spec or delta.spec != spec:
         raise SpecMismatch("gamma/delta belong to a different spec")
-    if G.is_identity(gamma) and G.is_identity(delta):
-        return plain_ring(spec)
     return RingContext(spec, TWO_SIDED, gamma, delta)
 
 
 def conjugacy_ring(spec: G.GroupSpec) -> RingContext:
     return RingContext(spec, CONJUGACY)
-
-
-@dataclass(frozen=True)
-class CosetKey:
-    representative: G.GroupElement
-    context: RingContext = field(repr=False)
-
-    def __repr__(self):
-        return f"[{G.format_word(self.representative)}]"
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +327,8 @@ def _choose_orbit_rule(spec, left, right):
     Free groups with cyclically reduced sides: peel, then scan the windows
     of _free_windows.  Free x Z with both sides central, t^a and t^b, and
     rank-1 free abelian, which is free x Z on no free generators: the
-    central exponent is only defined mod gcd(a, b).
+    central exponent is only defined mod gcd(a, b), unless both sides are
+    trivial.
     """
     if spec.kind == G.FREE:
         a, b = _free_side(left), _free_side(right)
@@ -346,7 +339,7 @@ def _choose_orbit_rule(spec, left, right):
                                        and len(spec.labels) == 1):
         t = len(spec.labels) - 1
         a, b = _central_exponent(t, left), _central_exponent(t, right)
-        if a is not None and b is not None:
+        if a is not None and b is not None and (a or b):
             return partial(_central_orbit_min, spec, t, math.gcd(a, b))
     return partial(_orbit_min, spec, left=left, right=right)
 
@@ -364,31 +357,24 @@ def _conjugacy_min(spec, g):
     return best
 
 
-def canonicalize(ctx: RingContext, g: G.GroupElement) -> CosetKey | None:
-    """Canonical key of g's class, or None for the dropped zero class."""
+def canonicalize(ctx: RingContext, g: G.GroupElement) -> G.GroupElement | None:
+    """The canonical element of g's class, or None for the dropped zero
+    class."""
     if g.spec != ctx.spec:
         raise SpecMismatch("element belongs to a different spec")
     return _canonicalize_cached(ctx, g)
 
 
 @lru_cache(maxsize=1 << 18)
-def _canonicalize_cached(ctx: RingContext, g: G.GroupElement) -> CosetKey | None:
-    if ctx.flavor == PLAIN:
-        return CosetKey(g, ctx)
-    if ctx.flavor == REDUCED:
-        if G.is_identity(g):
-            return None
-        return CosetKey(G.shortlex_min([g, G.invert(g)]), ctx)
+def _canonicalize_cached(ctx: RingContext, g: G.GroupElement) -> G.GroupElement | None:
+    if ctx.flavor == TWO_SIDED:
+        return ctx._orbit_rule([g])
+    if G.is_identity(g):
+        return None
     if ctx.flavor == CONJUGACY:
-        if G.is_identity(g):
-            return None
-        return CosetKey(_conjugacy_min(ctx.spec, g), ctx)
-    if ctx.flavor == COSET:
-        rep = ctx._orbit_rule([g, G.invert(g)])
-        if G.is_identity(rep):
-            return None
-        return CosetKey(rep, ctx)
-    return CosetKey(ctx._orbit_rule([g]), ctx)
+        return _conjugacy_min(ctx.spec, g)
+    rep = ctx._orbit_rule([g, G.invert(g)])
+    return None if G.is_identity(rep) else rep
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +384,7 @@ def _canonicalize_cached(ctx: RingContext, g: G.GroupElement) -> CosetKey | None
 @dataclass(frozen=True)
 class RingElement:
     context: RingContext = field(repr=False)
-    terms: tuple[tuple[CosetKey, int], ...]
+    terms: tuple[tuple[G.GroupElement, int], ...]  # (class key, coefficient)
 
     def __repr__(self):
         return f"<{format_ring(self)}>"
@@ -415,13 +401,13 @@ class RingElement:
     def __sub__(self, other):
         return add(self, negate(other))
 
-    def support(self) -> list[CosetKey]:
+    def support(self) -> list[G.GroupElement]:
         return [k for k, _ in self.terms]
 
 
 def _sorted_terms(acc):
     terms = [(k, c) for k, c in acc.items() if c]
-    terms.sort(key=lambda kc: G.shortlex_key(kc[0].representative))
+    terms.sort(key=lambda kc: G.shortlex_key(kc[0]))
     return tuple(terms)
 
 
@@ -430,15 +416,12 @@ def zero(ctx: RingContext) -> RingElement:
 
 
 def from_terms(ctx: RingContext, pairs) -> RingElement:
-    """Build an element from (group element or key, coefficient) pairs."""
-    acc: dict[CosetKey, int] = {}
+    """Build an element from (group element, coefficient) pairs."""
+    acc: dict[G.GroupElement, int] = {}
     for g, c in pairs:
-        key = g if isinstance(g, CosetKey) else canonicalize(ctx, g)
-        if key is None:
-            continue
-        if key.context != ctx:
-            raise SpecMismatch("key belongs to a different context")
-        acc[key] = acc.get(key, 0) + c
+        key = canonicalize(ctx, g)
+        if key is not None:
+            acc[key] = acc.get(key, 0) + c
     return RingElement(ctx, _sorted_terms(acc))
 
 
@@ -473,42 +456,40 @@ def conj_act(phi: G.GroupElement, y: RingElement) -> RingElement:
     """Termwise conjugation y -> phi y phi^-1.
 
     For coset contexts phi must centralize gamma, else the result would
-    land in a different context.
+    land in a different context; on a two-sided context it is
+    biact(phi, phi, y).
     """
     ctx = y.context
+    if ctx.flavor == TWO_SIDED:
+        return biact(phi, phi, y)
     if phi.spec != ctx.spec:
         raise SpecMismatch("conjugator belongs to a different spec")
-    if ctx.flavor == TWO_SIDED:
-        raise SpecMismatch("two-sided contexts use biact, not conj_act")
     if ctx.flavor == COSET and not G.commutes(phi, ctx.gamma):
         raise NotInCentralizer(f"{G.format_word(phi)} does not centralize {G.format_word(ctx.gamma)}")
-    return from_terms(ctx, [(G.conjugate(k.representative, phi), c) for k, c in y.terms])
+    return from_terms(ctx, [(G.conjugate(k, phi), c) for k, c in y.terms])
 
 
 def biact(phi: G.GroupElement, psi: G.GroupElement, y: RingElement) -> RingElement:
     """Termwise two-sided action y -> phi y psi^-1 on a two_sided context."""
     ctx = y.context
-    if ctx.flavor not in (TWO_SIDED, PLAIN):
-        raise SpecMismatch("biact needs a two-sided (or plain) context")
+    if ctx.flavor != TWO_SIDED:
+        raise SpecMismatch("biact needs a two-sided context")
     if phi.spec != ctx.spec or psi.spec != ctx.spec:
         raise SpecMismatch("actor belongs to a different spec")
-    gamma = ctx.gamma if ctx.flavor == TWO_SIDED else G.identity(ctx.spec)
-    delta = ctx.delta if ctx.flavor == TWO_SIDED else G.identity(ctx.spec)
-    if not G.commutes(phi, gamma):
-        raise NotInCentralizer(f"{G.format_word(phi)} does not centralize {G.format_word(gamma)}")
-    if not G.commutes(psi, delta):
-        raise NotInCentralizer(f"{G.format_word(psi)} does not centralize {G.format_word(delta)}")
+    for actor, side in ((phi, ctx.gamma), (psi, ctx.delta)):
+        if not G.commutes(actor, side):
+            raise NotInCentralizer(f"{G.format_word(actor)} does not centralize {G.format_word(side)}")
     psi_inv = G.invert(psi)
-    return from_terms(ctx, [(G.multiply(G.multiply(phi, k.representative), psi_inv), c)
+    return from_terms(ctx, [(G.multiply(G.multiply(phi, k), psi_inv), c)
                             for k, c in y.terms])
 
 
 def project_pi(y: RingElement) -> RingElement:
     """Quotient map from the reduced ring to conjugacy classes mod inversion."""
-    if y.context.flavor != REDUCED:
+    spec = y.context.spec
+    if y.context != reduced_ring(spec):
         raise SpecMismatch("project_pi expects a reduced-ring element")
-    ctx = conjugacy_ring(y.context.spec)
-    return from_terms(ctx, [(k.representative, c) for k, c in y.terms])
+    return from_terms(conjugacy_ring(spec), y.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +499,7 @@ def project_pi(y: RingElement) -> RingElement:
 def format_ring(y: RingElement) -> str:
     if not y.terms:
         return "0"
-    return " ".join(f"{c:+d}*[{G.format_word(k.representative)}]" for k, c in y.terms)
+    return " ".join(f"{c:+d}*[{G.format_word(k)}]" for k, c in y.terms)
 
 
 def parse_ring(ctx: RingContext, text: str, strict_sign: bool = False) -> RingElement:

@@ -13,10 +13,6 @@ class SpecMismatch(SelfLinkError):
     pass
 
 
-class Unsupported(SelfLinkError):
-    pass
-
-
 class IdentityInput(SelfLinkError):
     pass
 

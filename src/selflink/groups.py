@@ -161,7 +161,7 @@ def _normalize_syllables(spec: GroupSpec, sylls):
     """Normal form: each maximal run of one factor's syllables is normalized
     by that factor's rule, and runs that meet after a cancellation merge."""
     parts = spec._parts
-    if len(parts) == 1:  # one run; GroupElement rejects an index out of range
+    if len(parts) == 1:
         return tuple(_norm_factor(spec, 0, sylls))
     fac = spec._factor_of
     stack = []  # (factor index, normalized run); neighbours differ in factor
@@ -177,16 +177,14 @@ def _normalize_syllables(spec: GroupSpec, sylls):
 
 @dataclass(frozen=True)
 class GroupElement:
+    """A word in normal form.  The constructor trusts its syllables;
+    make_element checks and normalizes raw ones."""
     spec: GroupSpec = field(repr=False)
     syllables: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        for i, e in self.syllables:
-            if not 0 <= i < len(self.spec.labels):
-                raise UnknownGenerator(f"generator index {i} out of range")
-
     def __repr__(self):
-        return f"<{format_word(self)}>"
+        # the bracket form of a class key; lattice_member orders keys by repr
+        return f"[{format_word(self)}]"
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return multiply(self, other)
@@ -207,7 +205,13 @@ class GroupElement:
 
 
 def make_element(spec: GroupSpec, sylls) -> GroupElement:
-    return GroupElement(spec, _normalize_syllables(spec, list(sylls)))
+    """The normal form of raw (generator index, exponent) syllables."""
+    sylls = list(sylls)
+    n = len(spec.labels)
+    for i, _ in sylls:
+        if not 0 <= i < n:
+            raise UnknownGenerator(f"generator index {i} out of range")
+    return GroupElement(spec, _normalize_syllables(spec, sylls))
 
 
 def identity(spec: GroupSpec) -> GroupElement:
@@ -227,32 +231,14 @@ def _check_same_spec(a: GroupElement, b: GroupElement):
         raise SpecMismatch("elements belong to different group specs")
 
 
-def normalize(spec: GroupSpec, raw) -> GroupElement:
-    """Normal form of a raw symbol sequence.
-
-    ``raw`` may be a string (``x y^-1 x^2``), an iterable of
-    (label, exponent) pairs, or an iterable of (index, exponent) pairs.
-    """
-    if isinstance(raw, str):
-        return parse_word(spec, raw)
-    sylls = []
-    for item in raw:
-        name, e = item
-        i = name if isinstance(name, int) else spec.index_of(name)
-        if not 0 <= i < len(spec.labels):
-            raise UnknownGenerator(f"generator index {i} out of range")
-        sylls.append((i, e))
-    return make_element(spec, sylls)
-
-
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     _check_same_spec(a, b)
-    return make_element(a.spec, list(a.syllables) + list(b.syllables))
+    return GroupElement(a.spec, _normalize_syllables(a.spec, a.syllables + b.syllables))
 
 
 def invert(a: GroupElement) -> GroupElement:
     sylls = [(i, -e) for i, e in reversed(a.syllables)]
-    return make_element(a.spec, sylls)
+    return GroupElement(a.spec, _normalize_syllables(a.spec, sylls))
 
 
 def conjugate(a: GroupElement, by: GroupElement) -> GroupElement:

@@ -325,13 +325,14 @@ def _abelian_applicable(phi: PhiGroup) -> bool:
     """The lattice decision is exact: the group is abelian, and every key
     translation the action makes ranges over a finite key group.  Sphere
     translates and a link's outer biaction range over G/<gamma[, delta]>,
-    which is finite in rank 1."""
+    which is finite in rank 1 when a side is nontrivial."""
     ctx = phi.context
     if ctx.spec.kind != G.FREE_ABELIAN:
         return False
     if not _shifts_keys(phi) and not phi.sided_spheres:
         return True
-    return len(ctx.spec.labels) == 1 and ctx.flavor in (R.COSET, R.TWO_SIDED)
+    return len(ctx.spec.labels) == 1 and any(
+        side is not None and not G.is_identity(side) for side in (ctx.gamma, ctx.delta))
 
 
 def _abelian_lattice(phi):
@@ -417,37 +418,31 @@ def _separator_distinct(y1, y2, phi) -> DecisionResult | None:
         zero = (0,) * sep.dim
         taus = sep.target_elements() if enumerates else [zero]
         shifts = taus if shifts_keys else [zero]
-
-        def images(y):
-            return [(sep.image(k.representative), c) for k, c in y.terms]
-
-        def pushed(terms, tau, acc=(), sign=1):
-            """acc plus sign times the pushed class sum of terms shifted by tau."""
-            out = dict(acc)
-            for v, c in terms:
-                pk = pc.pushed_class(S._vec_add(tau, v))
-                if pk is not None:
-                    out[pk] = out.get(pk, 0) + sign * c
-            return {k: c for k, c in out.items() if c}
-
-        families = [(images(g.z), shifts) for g in phi.toroidal if g.z]
+        families = [([(sep.image(w), c) for w, c in g.z.terms], shifts)
+                    for g in phi.toroidal if g.z]
         families += [([(sep.image(p), s) for s, p in sph.points], taus)
                      for sph, _ in phi.sided_spheres]
         relations = {}
         for terms, moves in families:
             for tau in moves:
-                rel = pushed(terms, tau)
+                rel = pc.push(terms, tau)
                 if rel:
                     relations.setdefault(tuple(sorted(rel.items())), rel)
         relations = list(relations.values())
-        v1, t2 = pushed(images(y1), zero), images(y2)
+        v1 = pc.push([(sep.image(w), c) for w, c in y1.terms], zero)
+        t2 = [(sep.image(w), c) for w, c in y2.terms]
         # the pushed orbit of y2: its shifts plus the relation lattice
-        if all(S.lattice_member(relations, pushed(t2, tau, v1, -1)) is None
+        if all(S.lattice_member(relations, _difference(v1, pc.push(t2, tau))) is None
                for tau in shifts):
             return DecisionResult("distinct", separator=sep.name,
                                   values=(tuple(sorted(v1.items())),
-                                          tuple(sorted(pushed(t2, zero).items()))))
+                                          tuple(sorted(pc.push(t2, zero).items()))))
     return None
+
+
+def _difference(a: dict, b: dict) -> dict:
+    """The sparse vector a - b."""
+    return {k: c for k in {**a, **b} if (c := a.get(k, 0) - b.get(k, 0))}
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +514,14 @@ class _OrbitSearch:
         self.pads = {right: [G.identity(spec)] + (
             [side, G.invert(side)] if side is not None and not G.is_identity(side) else [])
             for right, side in ((False, ctx.gamma), (True, ctx.delta))}
-        self.inverts = ctx.flavor in (R.COSET, R.REDUCED)
+        self.inverts = ctx.flavor == R.COSET
 
     def _goal_gens(self, y: R.RingElement):
         """Sphere translates aligned with the support of y."""
         out = []
         seen = set()
         for key in y.support():
-            rep = key.representative
-            for u in (rep, G.invert(rep)) if self.inverts else (rep,):
+            for u in (key, G.invert(key)) if self.inverts else (key,):
                 for sph, right in self.phi.sided_spheres:
                     for s, p in sph.points:
                         base = G.multiply(G.invert(p), u) if right else G.multiply(u, G.invert(p))
@@ -543,7 +537,7 @@ class _OrbitSearch:
 
     def _admissible(self, y: R.RingElement) -> bool:
         return len(y.terms) <= self.term_cap and all(
-            k.representative.length() <= self.bounds.support_len for k, _ in y.terms)
+            k.length() <= self.bounds.support_len for k, _ in y.terms)
 
     def _neighbors(self, y: R.RingElement):
         for gen in self.static_gens + self._goal_gens(y):

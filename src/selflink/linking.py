@@ -230,5 +230,5 @@ def realize_trace(target: R.RingElement, k: Knot) -> Trace:
     points = []
     for key, c in target.terms:
         sign = 1 if c > 0 else -1
-        points.extend([(sign, key.representative)] * abs(c))
+        points.extend([(sign, key)] * abs(c))
     return Trace(k, k, tuple(points), G.identity(k.spec))

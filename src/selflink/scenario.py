@@ -43,8 +43,6 @@ class Scenario:
     linktraces: dict[str, L.LinkTrace] = field(default_factory=dict)
     phis: dict[str, I.PhiGroup] = field(default_factory=dict)  # phi and philink
     queries: list[list[str]] = field(default_factory=list)
-    # declaration metadata kept for round-trip printing
-    _decls: list[tuple[str, str]] = field(default_factory=list)
 
 
 def _pad_brackets(line: str) -> str:
@@ -132,11 +130,8 @@ def parse_scenario(text: str) -> Scenario:
         try:
             if head == "query":
                 scn.queries.append(shlex.split(line)[1:])
-                scn._decls.append(("query", line))
                 continue
-            tokens = _pad_brackets(line).split()
-            _dispatch(scn, tokens, line_no)
-            scn._decls.append((head, line))
+            _dispatch(scn, _pad_brackets(line).split(), line_no)
         except ParseError:
             raise
         except (UnresolvedReference, InvariantViolation):
@@ -287,28 +282,19 @@ def _name_of(table, match, what, owner):
 
 
 def print_scenario(scn: Scenario) -> str:
-    """Text that parses back to an equivalent scenario.
-
-    A parsed scenario reprints its (comment-stripped, whitespace-normalized)
-    declaration lines; a programmatically built one is synthesized from its
-    entities.
-    """
-    if scn._decls:
-        return "\n".join(" ".join(line.split()) for _, line in scn._decls) + "\n"
+    """Text that parses back to an equivalent scenario, synthesized from
+    its entities; comments and the declaration order are not kept."""
     out = []
     spec = scn.spec
     if spec is not None:
+        kinds = {G.FREE: "free", G.FREE_ABELIAN: "abelian",
+                 G.FREE_TIMES_Z: "free_times_z"}
         if spec.kind == G.FREE_PRODUCT:
-            parts = []
-            for f in spec.factors:
-                kind = {G.FREE: "free", G.FREE_ABELIAN: "abelian",
-                        G.FREE_TIMES_Z: "free_times_z"}[f.kind]
-                parts.append(f"[ {kind} {' '.join(f.labels)} ]")
-            out.append(f"group product {' '.join(parts)}")
+            parts = " ".join(f"[ {kinds[f.kind]} {' '.join(f.labels)} ]"
+                             for f in spec.factors)
+            out.append(f"group product {parts}")
         else:
-            kind = {G.FREE: "free", G.FREE_ABELIAN: "abelian",
-                    G.FREE_TIMES_Z: "free_times_z"}[spec.kind]
-            out.append(f"group {kind} {' '.join(spec.labels)}")
+            out.append(f"group {kinds[spec.kind]} {' '.join(spec.labels)}")
     for name, k in scn.knots.items():
         out.append(f"knot {name} = {_fmt_word(k.gamma)}")
     for name, t in scn.traces.items():
@@ -414,7 +400,7 @@ def execute_query(scn: Scenario, tokens, bounds: I.Bounds) -> dict:
         k = _require(scn, scn.knots, args[0], "knot", None)
         ctx = R.coset_ring(spec, k.gamma)
         key = R.canonicalize(ctx, _word(spec, " ".join(args[1:]).split(), None))
-        rec["result"] = "0" if key is None else f"[{_fmt_word(key.representative)}]"
+        rec["result"] = "0" if key is None else f"[{_fmt_word(key)}]"
 
     elif cmd == "mu":
         t = _require(scn, scn.traces, args[0], "trace", None)

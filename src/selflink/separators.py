@@ -224,8 +224,8 @@ def cyclic_separator(spec: G.GroupSpec, m: int) -> Separator:
 
 
 def default_separator_suite(spec: G.GroupSpec) -> list[Separator]:
-    """Abelianization plus coordinatewise cyclic reductions, cheapest last
-    in declaration but consulted smallest-target-first by callers."""
+    """Abelianization, then the coordinatewise cyclic reductions mod 2
+    through mod 12: the order in which the separator check tries them."""
     return [abelianization(spec)] + [cyclic_separator(spec, m) for m in range(2, 13)]
 
 
@@ -283,12 +283,10 @@ class PushedContext:
 
     def _orbit(self, vec) -> list:
         """Pushed orbit of a reduced vector: {+-w + n*gamma} (coset),
-        w + <gamma, delta> (two-sided), {w, -w} (reduced, conjugacy), within
-        a window around vec on a free coordinate."""
+        w + <gamma, delta> (two-sided), {w, -w} (conjugacy), within a window
+        around vec on a free coordinate."""
         sep = self.sep
         flavor = self.flavor
-        if flavor == R.PLAIN:
-            return [vec]
         if flavor == R.TWO_SIDED:
             pad = 1
             gfree = sum(abs(x) for x, m in zip(self.gamma_img, sep.moduli) if m == 0)
@@ -302,7 +300,7 @@ class PushedContext:
                     orbit.append(sep.reduce(_vec_add(wn, self.delta_img, m)))
             return orbit
         branches = [vec, sep.reduce(tuple(-x for x in vec))]
-        if flavor != R.COSET:
+        if flavor == R.CONJUGACY:
             return branches
         return [sep.reduce(_vec_add(w, self.gamma_img, n))
                 for w in branches
@@ -316,27 +314,26 @@ class PushedContext:
             return self._classes[vec]
         orbit = self._orbit(vec)
         zero = (0,) * sep.dim
-        if zero in orbit and self.flavor in (R.REDUCED, R.COSET, R.CONJUGACY):
-            pk = None
-        elif zero in orbit and self.flavor == R.TWO_SIDED:
-            pk = zero
+        if zero in orbit:
+            pk = zero if self.flavor == R.TWO_SIDED else None
         else:
             pk = min(orbit, key=lambda v: _order_key(sep, v))
         for member in orbit if sep.target_finite else (vec,):
             self._classes[member] = pk
         return pk
 
-    def push(self, y: R.RingElement) -> dict:
-        """Pushforward of a ring element: sparse vector over pushed classes."""
+    def push(self, terms, shift) -> dict:
+        """Pushforward of (target vector, coefficient) terms, each vector
+        moved by shift: a sparse vector over pushed classes."""
         acc: dict[tuple, int] = {}
-        for key, c in y.terms:
-            pk = self.pushed_class(self.sep.image(key.representative))
-            if pk is None:
-                continue
-            acc[pk] = acc.get(pk, 0) + c
+        for vec, c in terms:
+            pk = self.pushed_class(_vec_add(shift, vec))
+            if pk is not None:
+                acc[pk] = acc.get(pk, 0) + c
         return {k: v for k, v in acc.items() if v}
 
 
 def push_forward(sep: Separator, y: R.RingElement) -> dict:
     """Vector of y over pushed coset classes of the separator target."""
-    return PushedContext.of(sep, y.context).push(y)
+    terms = [(sep.image(g), c) for g, c in y.terms]
+    return PushedContext.of(sep, y.context).push(terms, (0,) * sep.dim)

@@ -198,7 +198,7 @@ def test_criterion_4_xy_collapses():
             nxt = []
             for cur in frontier:
                 for step in (x, xinv):
-                    nk = R.canonicalize(ctx, S.multiply(cur.representative, step))
+                    nk = R.canonicalize(ctx, S.multiply(cur, step))
                     if nk is None:
                         reached = True
                         break
@@ -214,7 +214,7 @@ def test_criterion_4_xy_collapses():
     # every length <= 4 class decides Equal against 0, with certificates
     classes4 = _all_classes(ctx, 4)
     for key in classes4:
-        y = R.single(ctx, key.representative)
+        y = R.single(ctx, key)
         res = _decide(f"c4 {key!r}", y, R.zero(ctx), phi)
         assert res.verdict == "equal", repr(key)
     _report(4, f"all {len(classes5)} classes of length <= 5 collapse under "

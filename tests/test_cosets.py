@@ -1,5 +1,5 @@
 """Coset-class rings: canonical keys against a breadth-first orbit oracle,
-ring arithmetic laws, flavor degeneracies, and serialization."""
+ring arithmetic laws, the trivial-side rings, and serialization."""
 
 import itertools
 import random
@@ -19,11 +19,6 @@ from conftest import AB1, FREE2, FXZ, PROD, random_ring_element, random_word
 def _orbit_moves(ctx, c):
     """One step of the defining relations of ctx's flavor."""
     f = ctx.flavor
-    if f == R.PLAIN:
-        return
-    if f == R.REDUCED:
-        yield S.invert(c)
-        return
     if f == R.COSET:
         g = ctx.gamma
         yield S.multiply(g, c)
@@ -83,7 +78,7 @@ def oracle_min(ctx, w):
 
 
 def _identity_dropped(ctx):
-    return ctx.flavor in (R.REDUCED, R.COSET, R.CONJUGACY)
+    return ctx.flavor in (R.COSET, R.CONJUGACY)
 
 
 def check_against_oracle(ctx, w):
@@ -93,8 +88,7 @@ def check_against_oracle(ctx, w):
         assert key is None, S.format_word(w)
     else:
         assert key is not None, S.format_word(w)
-        assert key.representative == want, (
-            S.format_word(w), S.format_word(key.representative), S.format_word(want))
+        assert key == want, (S.format_word(w), S.format_word(key), S.format_word(want))
 
 
 def _enumerate_free2(max_len):
@@ -195,7 +189,7 @@ def test_conjugate_root_sides_match_the_oracle():
     # windows miss it
     ctx = R.two_sided_ring(FREE2, S.parse_word(FREE2, "x^7"),
                            S.parse_word(FREE2, "x^9"))
-    assert S.is_identity(R.canonicalize(ctx, S.parse_word(FREE2, "x")).representative)
+    assert S.is_identity(R.canonicalize(ctx, S.parse_word(FREE2, "x")))
     words = _enumerate_free2(4)
     for a, b in [("x^7", "x^9"), ("x y", "y x"), ("x y x y", "y x"),
                  ("x^2 y", "x y x")]:
@@ -214,8 +208,8 @@ def test_commuting_sides_reach_the_least_element(spec, gamma, delta, word, want)
     powers nearly cancel, and the least element needs large exponents."""
     ctx = R.two_sided_ring(spec, S.parse_word(spec, gamma), S.parse_word(spec, delta))
     key = R.canonicalize(ctx, S.parse_word(spec, word))
-    assert key.representative == S.parse_word(spec, want)
-    assert oracle_min(ctx, S.parse_word(spec, word))[0] == key.representative
+    assert key == S.parse_word(spec, want)
+    assert oracle_min(ctx, S.parse_word(spec, word))[0] == key
 
 
 _LARGE_EXPONENTS = [
@@ -237,7 +231,7 @@ def test_large_exponents_canonicalize_quickly(spec, gamma, word, want):
     t0 = time.perf_counter()
     key = R.canonicalize(ctx, g)
     assert time.perf_counter() - t0 < 0.1
-    assert S.format_word(key.representative) == want
+    assert S.format_word(key) == want
     for v in _orbit_moves(ctx, g):
         assert R.canonicalize(ctx, v) == key
 
@@ -256,20 +250,20 @@ def test_canonicalize_local_move_invariance():
 
 
 # ---------------------------------------------------------------------------
-# flavor structure
+# trivial-side rings
 
 
 def test_degenerate_constructors():
     e = S.identity(FREE2)
-    assert R.coset_ring(FREE2, e).flavor == R.REDUCED
-    assert R.two_sided_ring(FREE2, e, e).flavor == R.PLAIN
+    assert R.coset_ring(FREE2, e) == R.reduced_ring(FREE2)
+    assert R.two_sided_ring(FREE2, e, e) == R.plain_ring(FREE2)
 
 
 def test_plain_ring_distinguishes_normal_forms(rng):
     ctx = R.plain_ring(FREE2)
     for _ in range(200):
         w = random_word(rng, FREE2, 6)
-        assert R.canonicalize(ctx, w).representative == w
+        assert R.canonicalize(ctx, w) == w
 
 
 def test_reduced_ring_identifies_inverses():
@@ -288,13 +282,13 @@ def test_conjugacy_ring_identifies_conjugates(rng):
             key = R.canonicalize(ctx, w)
             assert R.canonicalize(ctx, S.conjugate(w, a)) == key
             if key is not None:
-                assert key.representative == oracle_min(ctx, w)[0], S.format_word(w)
+                assert key == oracle_min(ctx, w)[0], S.format_word(w)
 
 
 def test_two_sided_ring_keeps_identity_class():
     ctx = R.two_sided_ring(AB1, S.parse_word(AB1, "x^2"), S.parse_word(AB1, "x^4"))
     key = R.canonicalize(ctx, S.identity(AB1))
-    assert key is not None and S.is_identity(key.representative)
+    assert key is not None and S.is_identity(key)
     # x^2 . 1 is still the identity class; x is not
     assert R.canonicalize(ctx, S.parse_word(AB1, "x^2")) == key
     assert R.canonicalize(ctx, S.parse_word(AB1, "x")) != key
@@ -331,6 +325,16 @@ def test_conj_act_is_additive_action(rng):
         assert R.conj_act(p, R.add(a, b)) == R.add(R.conj_act(p, a), R.conj_act(p, b))
         assert R.conj_act(S.multiply(p, q), a) == R.conj_act(p, R.conj_act(q, a))
         assert R.conj_act(S.identity(FREE2), a) == a
+
+
+def test_conj_act_on_plain_ring_is_biact(rng):
+    ctx = R.plain_ring(FREE2)
+    for _ in range(100):
+        a = random_ring_element(rng, ctx, 3, 4)
+        phi = random_word(rng, FREE2, 3)
+        assert R.conj_act(phi, a) == R.biact(phi, phi, a)
+        assert R.conj_act(phi, a) == R.from_terms(
+            ctx, [(S.conjugate(k, phi), c) for k, c in a.terms])
 
 
 def test_biact_composes(rng):

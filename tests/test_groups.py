@@ -167,6 +167,16 @@ def test_unknown_generator_rejected():
         S.parse_word(FREE2, "x q")
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS + [PROD, PROD_FXZ],
+                         ids=["free2", "free3", "ab1", "ab2", "fxz", "prod", "prod_fxz"])
+def test_make_element_rejects_out_of_range_indices(spec):
+    from selflink import UnknownGenerator
+    n = len(spec.labels)
+    for sylls in ([(n, 1)], [(n + 6, 1), (n + 6, -1)], [(0, 1), (n, 2), (n, -2)], [(-1, 1)]):
+        with pytest.raises(UnknownGenerator):
+            S.make_element(spec, sylls)
+
+
 def test_spec_mismatch_rejected():
     from selflink import SpecMismatch
     with pytest.raises(SpecMismatch):

@@ -123,8 +123,8 @@ def test_abelian_decide_matches_lattice_oracle():
         phi, ctx, keys, rels = rng.choice(settings)
         if not keys:
             continue
-        y1 = R.from_terms(ctx, [(k.representative, rng.randint(-5, 5)) for k in keys])
-        y2 = R.from_terms(ctx, [(k.representative, rng.randint(-5, 5)) for k in keys])
+        y1 = R.from_terms(ctx, [(k, rng.randint(-5, 5)) for k in keys])
+        y2 = R.from_terms(ctx, [(k, rng.randint(-5, 5)) for k in keys])
         res = I.decide_equal(y1, y2, phi)
         diff = dict(R.add(y1, R.negate(y2)).terms)
         want = "equal" if _hnf_member(rels, diff) else "distinct"
@@ -157,6 +157,26 @@ def test_rank2_toroidal_decide_matches_lattice_oracle():
         assert res.verdict == want
         if res.verdict == "equal":
             assert I.replay(res.certificate, y1, y2)
+
+
+def test_abelian_certificate_over_labels_x_and_xA_is_pinned():
+    """Keys [x], [xA] and [x xA] of the coset ring of x^2, which sort
+    differently under other bracket reprs; both toroidal offsets are
+    multiples of [x] + [xA] - [x xA], so the lattice combination is not
+    unique, and the size-reduced one is pinned."""
+    spec = S.free_abelian("x", "xA")
+    k = L.Knot("k", S.parse_word(spec, "x^2"))
+    pts = tuple((s, S.parse_word(spec, w)) for s, w in ((1, "x"), (1, "xA"), (-1, "x xA")))
+    phi = I.build_phi(k, [L.Trace(k, k, pts * 2, S.generator(spec, "x")),
+                          L.Trace(k, k, pts * 3, S.generator(spec, "xA"))])
+    y1 = R.parse_ring(phi.context, "+2*[x] -1*[xA] +1*[x xA]")
+    y2 = R.parse_ring(phi.context, "+1*[x] -2*[xA] +2*[x xA]")
+    assert I.decide_equal(y1, y2, phi).to_record() == {
+        "verdict": "equal",
+        "certificate": {
+            "steps": [{"gen": "toroidal[x]", "z": "+2*[x] +2*[xA] -2*[x xA]", "exponent": -1},
+                      {"gen": "toroidal[xA]", "z": "+3*[x] +3*[xA] -3*[x xA]", "exponent": 1}],
+            "conjugator": ["1"]}}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Scenario-file parsing, round-tripping, and query execution."""
 
+import json
+import pathlib
+from importlib import resources
+
 import pytest
 
 import selflink as S
@@ -116,6 +120,24 @@ def test_print_parse_round_trip():
     assert scn2.queries == scn.queries
     # printing is a fixed point
     assert print_scenario(scn2) == text
+
+
+def test_bundled_scenarios_round_trip_through_print_scenario():
+    """Every bundled scenario, printed and parsed back, gives the records of
+    the golden report, and printing it again gives the same text."""
+    golden = json.loads((pathlib.Path(__file__).with_name("data")
+                         / "bundled_records.json").read_text(encoding="utf-8"))
+    for entry in resources.files("selflink").joinpath("scenarios").iterdir():
+        if not entry.name.endswith(".scn"):
+            continue
+        scn = parse_scenario(entry.read_text(encoding="utf-8"))
+        text = print_scenario(scn)
+        scn2 = parse_scenario(text)
+        assert print_scenario(scn2) == text, entry.name
+        assert scn2.queries == scn.queries, entry.name
+        if entry.name in golden:  # free_x2y.scn's search takes seconds
+            assert [execute_query(scn2, q, I.Bounds()) for q in scn2.queries] \
+                == golden[entry.name], entry.name
 
 
 def test_print_parse_round_trip_of_a_built_link():

@@ -304,7 +304,7 @@ def test_pushed_class_respects_ring_relations(rng):
                     assert pc.pushed_class(sep.image(w)) is None
                     continue
                 assert (pc.pushed_class(sep.image(w))
-                        == pc.pushed_class(sep.image(key.representative)))
+                        == pc.pushed_class(sep.image(key)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,8 @@ SEPARATORS = {
 
 
 def _all_flavors(spec, coset_gamma, gamma, delta):
-    """The five ring flavors over spec, the two-sided one with gamma != delta."""
+    """The three flavors and the two trivial-side rings over spec, the
+    two-sided ring with gamma != delta."""
     g, tg, td = (S.parse_word(spec, w) for w in (coset_gamma, gamma, delta))
     return [R.plain_ring(spec), R.reduced_ring(spec), R.conjugacy_ring(spec),
             R.coset_ring(spec, g), R.two_sided_ring(spec, tg, td)]
@@ -357,7 +358,7 @@ def test_pushed_class_table_matches_fresh_contexts(spec, words, sep_name):
             continue
         moves = [img for img in (shared.gamma_img, shared.delta_img) if img]
         moves += [tuple(-x for x in img) for img in moves]
-        one_sided = ctx.flavor in (R.REDUCED, R.COSET, R.CONJUGACY)
+        one_sided = ctx.flavor in (R.COSET, R.CONJUGACY)
         for v in vecs:
             assert shared.pushed_class(SEP._vec_add(v, sep.moduli)) == got[v]
             for m in moves:
