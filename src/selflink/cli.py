@@ -21,7 +21,6 @@ import sys
 import time
 from importlib import resources
 
-from . import cosets as R
 from . import indeterminacy as I
 from . import scenario as SC
 from .errors import SelfLinkError
@@ -57,15 +56,6 @@ def _build_parser():
 def _load(path: str) -> SC.Scenario:
     with open(path, encoding="utf-8") as fh:
         return SC.parse_scenario(fh.read())
-
-
-def _execute(scn, tokens, bounds, strict_sign):
-    if strict_sign and tokens and tokens[0] == "decide":
-        # surface sign-format errors before any work happens
-        phi = SC._find_phi(scn, tokens[3] if len(tokens) > 3 else None)
-        for t in tokens[1:3]:
-            R.parse_ring(phi.context, t, strict_sign=True)
-    return SC.execute_query(scn, tokens, bounds)
 
 
 def _emit(report, as_json, wall_ms):
@@ -214,13 +204,13 @@ def main(argv=None) -> int:
         elif opts.command == "run":
             scn = _load(opts.args[0])
             for tokens in scn.queries:
-                report["results"].append(
-                    _execute(scn, tokens, bounds, opts.strict_sign))
+                report["results"].append(SC.execute_query(
+                    scn, tokens, bounds, strict_sign=opts.strict_sign))
         else:
             scn = _load(opts.args[0])
-            report["results"].append(
-                _execute(scn, [opts.command] + opts.args[1:], bounds,
-                         opts.strict_sign))
+            report["results"].append(SC.execute_query(
+                scn, [opts.command] + opts.args[1:], bounds,
+                strict_sign=opts.strict_sign))
     except (SelfLinkError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -23,15 +23,21 @@ pipeline for knots and links:
     or a homomorphic separator);
   * Unknown otherwise, reporting the bounds exhausted.
 
+In an abelian image the orbit of a value is a union of lattice cosets, one
+per outer shift.  One stage, _orbit_lattice, builds the lattice and scans
+the shifts: in the ring of an abelian group it decides exactly, a hit
+becoming the Equal certificate; in a separator's image a miss is Distinct.
+
 An outer conjugator is a tuple: (alpha,) conjugates a knot value, (alpha,
 beta) biacts a link value.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import cosets as R
 from . import groups as G
@@ -317,6 +323,51 @@ def _shifts_keys(phi) -> bool:
     return len(phi.zetas) == 2
 
 
+def _difference(a: dict, b: dict) -> dict:
+    """The sparse vector a - b."""
+    return {k: c for k in {**a, **b} if (c := a.get(k, 0) - b.get(k, 0))}
+
+
+# ---------------------------------------------------------------------------
+# the orbit lattice in an abelian image
+
+
+def _orbit_lattice(phi, image, push, offsets, y1, y2):
+    """The relations of the orbit of y2 in an abelian image, as (vector,
+    source, offset) first occurrences in order, and (shift, coefficients)
+    for the first outer shift of y2 whose difference from y1 is in their
+    span, or None.  image maps words, or is None for the ring itself, where
+    an element is its own vector at the trivial offset offsets[0]; push
+    maps (image, coefficient) terms, each translated by an offset, to a
+    class vector.  Toroidal offsets move only under a link's biaction,
+    sphere families under every offset."""
+    shifts = offsets if _shifts_keys(phi) else offsets[:1]
+
+    def imaged(pairs):
+        return list(pairs) if image is None else [(image(w), c) for w, c in pairs]
+
+    def mover(y):
+        terms = imaged(y.terms)
+        return lambda t: (dict(y.terms) if image is None and t == offsets[0]
+                          else push(terms, t))
+
+    families = [(g, mover(g.z), shifts) for g in phi.toroidal if g.z]
+    families += [(sph, functools.partial(push, imaged((p, s) for s, p in sph.points)),
+                  offsets) for sph, _ in phi.sided_spheres]
+    relations = {}
+    for src, move, moves in families:
+        for t in moves:
+            if rel := move(t):
+                relations.setdefault(frozenset(rel.items()), (rel, src, t))
+    relations = list(relations.values())
+    v1, move2 = mover(y1)(offsets[0]), mover(y2)
+    for t in shifts:
+        coeffs = S.lattice_member([r for r, _, _ in relations], _difference(v1, move2(t)))
+        if coeffs is not None:
+            return relations, (t, coeffs)
+    return relations, None
+
+
 # ---------------------------------------------------------------------------
 # exact abelian decision
 
@@ -335,64 +386,44 @@ def _abelian_applicable(phi: PhiGroup) -> bool:
         side is not None and not G.is_identity(side) for side in (ctx.gamma, ctx.delta))
 
 
-def _abelian_lattice(phi):
-    """Generators whose offsets span the orbit lattice, and the outer
-    conjugators to scan y2 by.  A knot's outer conjugation is trivial: the
-    offsets are the toroidal ones and the sphere translates over G/<gamma>.
-    A link's class keys form Z/gcd(n_gamma, n_delta), which the biaction
-    (x^a, 1) shifts them through: the offsets are closed under the shifts,
-    and every shift of y2 is scanned."""
+def _decide_abelian(y1, y2, phi) -> DecisionResult:
+    """Total decision on abelian specs, over the offsets x^a, 0 <= a < n,
+    with n the gcd of the side exponents (in rank 1 the class keys form
+    Z/n; otherwise only the trivial offset is used).  The size-reduced
+    lattice coefficients become the exponents of the certificate, one step
+    per relation used."""
     ctx = phi.context
     spec = ctx.spec
     one = G.identity(spec)
-    gens = [g for g in phi.toroidal if g.z]
-    if not _shifts_keys(phi):
-        for sph, _ in phi.sided_spheres:
-            for a in range(abs(ctx.gamma.syllables[0][1])):
-                t = G.make_element(spec, [(0, a)])
-                z = _sphere_element(ctx, t, sph.points)
-                if z:
-                    gens.append(_translate_gen(phi, z, sph, t))
-        return gens, [(one,)]
-    n = math.gcd(*(abs(w.syllables[0][1]) if w.syllables else 0
-                   for w in (ctx.gamma, ctx.delta)))
-    shifts = [(G.make_element(spec, [(0, a)]), one) for a in range(max(n, 1))]
-    base = [(g.z, g.provenance) for g in gens]
-    base += [(_sphere_element(ctx, one, sph.points, right), f"spherical[{sph.label}]")
-             for sph, right in phi.sided_spheres]
-    closed = []
-    seen = set()
-    for z, prov in base:
-        for c in shifts:
-            zc = _outer(c, z)
-            if zc and zc not in seen:
-                seen.add(zc)
-                closed.append(PhiGen(zc, (one, one),
-                                     f"shift[{prov},{G.format_word(c[0])}]"))
-    return closed, shifts
+    sides = (ctx.gamma, ctx.delta) if len(spec.labels) == 1 else ()
+    n = math.gcd(*(abs(w.syllables[0][1]) for w in sides if w is not None and w.syllables))
+    offsets = [G.make_element(spec, [(0, a)]) for a in range(max(n, 1))]
 
+    def push(terms, t):
+        return dict(R.from_terms(ctx, [(G.multiply(t, w), c) for w, c in terms]).terms)
 
-def _decide_abelian(y1, y2, phi) -> DecisionResult:
-    """Total decision on abelian specs: the orbit of y2 is the union over
-    the scanned outer conjugates of y2 of their lattice translates;
-    membership is a Hermite-normal-form computation over the class keys
-    (`separators.lattice_member`), whose size-reduced coefficients become
-    the exponents of the certificate, one step per generator used."""
-    gens, outer = _abelian_lattice(phi)
-    relations = [dict(g.z.terms) for g in gens]
-    for c in outer:
-        diff = dict(R.add(y1, R.negate(_outer(c, y2))).terms)
-        coeffs = S.lattice_member(relations, diff)
-        if coeffs is None:
+    relations, hit = _orbit_lattice(phi, None, push, offsets, y1, y2)
+    if hit is None:
+        return DecisionResult("distinct", separator="abelian-lattice",
+                              values=(R.format_ring(y1), R.format_ring(y2)))
+    shift, coeffs = hit
+    link = _shifts_keys(phi)
+    c = (shift, one) if link else (one,)
+    # replay applies the steps to y2 and c last, which moves the offsets
+    # too; undo c on each generator used to compensate
+    c_inv = tuple(G.invert(a) for a in c)
+    steps = []
+    for (rel, src, t), k in zip(relations, coeffs):
+        if not k:
             continue
-        # replay applies the steps to y2 and c last, which moves the
-        # offsets too; undo c on each generator used to compensate
-        c_inv = tuple(G.invert(a) for a in c)
-        steps = tuple((replace(g, z=_outer(c_inv, g.z)), k)
-                      for g, k in zip(gens, coeffs) if k)
-        return DecisionResult("equal", certificate=Certificate(steps, c))
-    return DecisionResult("distinct", separator="abelian-lattice",
-                          values=(R.format_ring(y1), R.format_ring(y2)))
+        z = R.RingElement(ctx, tuple(rel.items()))   # a ring element's terms, in order
+        label = src.provenance if isinstance(src, PhiGen) else f"spherical[{src.label}]"
+        if link:
+            src = PhiGen(_outer(c_inv, z), (one, one), f"shift[{label},{G.format_word(t)}]")
+        elif not isinstance(src, PhiGen):
+            src = _translate_gen(phi, z, src, t)
+        steps.append((src, k))
+    return DecisionResult("equal", certificate=Certificate(tuple(steps), c))
 
 
 # ---------------------------------------------------------------------------
@@ -402,47 +433,23 @@ def _decide_abelian(y1, y2, phi) -> DecisionResult:
 def _separator_distinct(y1, y2, phi) -> DecisionResult | None:
     """Try the shipped abelian-quotient separators; sound but partial.
 
-    On an abelian target, outer conjugation pushes to the identity while an
-    outer biaction shifts pushed classes through the target, and sphere
-    families push to translates indexed by the target.  Shifts and
-    translates are enumerated exactly on a finite target, or the separator
-    abstains.
+    A separator's image of the orbit lattice is an invariant: y1 outside
+    the pushed orbit of y2 is Distinct.  The offsets are the target
+    elements, enumerated exactly on a finite target; where offsets must be
+    enumerated (a link's biaction, or sphere families), a separator with
+    an infinite target abstains.
     """
     ctx = phi.context
-    shifts_keys = _shifts_keys(phi)
-    enumerates = shifts_keys or bool(phi.sided_spheres)
+    enumerates = _shifts_keys(phi) or bool(phi.sided_spheres)
     for sep in S.default_separator_suite(ctx.spec):
         if enumerates and not sep.target_finite:
             continue
-        pc = S.PushedContext.of(sep, ctx)
-        zero = (0,) * sep.dim
-        taus = sep.target_elements() if enumerates else [zero]
-        shifts = taus if shifts_keys else [zero]
-        families = [([(sep.image(w), c) for w, c in g.z.terms], shifts)
-                    for g in phi.toroidal if g.z]
-        families += [([(sep.image(p), s) for s, p in sph.points], taus)
-                     for sph, _ in phi.sided_spheres]
-        relations = {}
-        for terms, moves in families:
-            for tau in moves:
-                rel = pc.push(terms, tau)
-                if rel:
-                    relations.setdefault(tuple(sorted(rel.items())), rel)
-        relations = list(relations.values())
-        v1 = pc.push([(sep.image(w), c) for w, c in y1.terms], zero)
-        t2 = [(sep.image(w), c) for w, c in y2.terms]
-        # the pushed orbit of y2: its shifts plus the relation lattice
-        if all(S.lattice_member(relations, _difference(v1, pc.push(t2, tau))) is None
-               for tau in shifts):
-            return DecisionResult("distinct", separator=sep.name,
-                                  values=(tuple(sorted(v1.items())),
-                                          tuple(sorted(pc.push(t2, zero).items()))))
+        offsets = sep.target_elements() if enumerates else [(0,) * sep.dim]
+        push = S.PushedContext.of(sep, ctx).push
+        if _orbit_lattice(phi, sep.image, push, offsets, y1, y2)[1] is None:
+            return DecisionResult("distinct", separator=sep.name, values=tuple(
+                tuple(sorted(S.push_forward(sep, y).items())) for y in (y1, y2)))
     return None
-
-
-def _difference(a: dict, b: dict) -> dict:
-    """The sparse vector a - b."""
-    return {k: c for k in {**a, **b} if (c := a.get(k, 0) - b.get(k, 0))}
 
 
 # ---------------------------------------------------------------------------

@@ -379,8 +379,9 @@ _USAGE = {
 }
 
 
-def execute_query(scn: Scenario, tokens, bounds: I.Bounds) -> dict:
-    """Run one query; returns a deterministic record (no timing fields)."""
+def execute_query(scn: Scenario, tokens, bounds: I.Bounds, strict_sign: bool = False) -> dict:
+    """Run one query; returns a deterministic record (no timing fields).
+    strict_sign requires explicitly signed coefficients in ring elements."""
     if not tokens:
         raise ParseError("empty query")
     cmd, args = tokens[0], tokens[1:]
@@ -389,7 +390,7 @@ def execute_query(scn: Scenario, tokens, bounds: I.Bounds) -> dict:
     least, most, usage = _USAGE[cmd]
     if len(args) < least or (most is not None and len(args) > most):
         raise ParseError(f"usage: {usage}")
-    spec = scn.spec
+    spec = _need_spec(scn, None)
     rec = {"command": cmd, "args": list(args)}
 
     if cmd == "normalize":
@@ -425,8 +426,8 @@ def execute_query(scn: Scenario, tokens, bounds: I.Bounds) -> dict:
 
     elif cmd == "decide":
         phi = _find_phi(scn, args[2] if len(args) > 2 else None)
-        y1 = R.parse_ring(phi.context, args[0])
-        y2 = R.parse_ring(phi.context, args[1])
+        y1 = R.parse_ring(phi.context, args[0], strict_sign)
+        y2 = R.parse_ring(phi.context, args[1], strict_sign)
         rec.update(I.decide_equal(y1, y2, phi, bounds).to_record())
 
     else:  # spherical

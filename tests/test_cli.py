@@ -149,9 +149,12 @@ def test_parse_error_is_an_error(tmp_path):
     (SCN.replace("phi P knot k", "phi P"), ["run", "FILE"]),
     ("group free x y\nphilink P left\n", ["run", "FILE"]),
     (SCN, ["run"]),
+    ("# no group line\n", ["normalize", "FILE", "x"]),
+    ("query normalize x\n", ["run", "FILE"]),
 ], ids=["decide-one-element", "canon-no-knot", "lambda-no-argument",
         "stored-query-too-short", "phi-without-knot", "philink-without-knots",
-        "run-without-file"])
+        "run-without-file", "normalize-without-group",
+        "stored-query-without-group"])
 def test_malformed_input_is_an_error(text, argv, tmp_path, capsys):
     p = tmp_path / "case.scn"
     p.write_text(text)

@@ -179,6 +179,46 @@ def test_abelian_certificate_over_labels_x_and_xA_is_pinned():
             "conjugator": ["1"]}}
 
 
+LINK_LATTICE_SCN = """\
+group abelian x
+knot k1 = x^2
+knot k2 = x^4
+trace a1 : k1 -> k1 latitude x
+trace a2 : k2 -> k2 latitude 1
+trace b1 : k1 -> k1 latitude 1
+trace b2 : k2 -> k2 latitude x
+linktrace lt1 : a1 a2
+linktrace lt2 : b1 b2 cross ( + 1 ) ( + 1 ) ( + x ) ( + x )
+sphere s points ( + 1 ) ( + 1 )
+philink PL knots k1 k2 toroidal1 lt1 toroidal2 lt2 right s
+"""
+
+
+def test_link_abelian_certificate_is_pinned():
+    """A link's lattice decision: the class keys form Z/2, the outer
+    biaction (x, 1) shifts them, and the relations are every shift of the
+    toroidal offset and of the sphere.  The Equal certificate names the
+    shifted generators and compensates the conjugator x on their offsets."""
+    scn = S.parse_scenario(LINK_LATTICE_SCN)
+
+    def decide(a, b):
+        return S.execute_query(scn, ["decide", a, b, "PL"], I.Bounds())
+
+    assert decide("+4*[1] +3*[x]", "+1*[1]") == {
+        "command": "decide", "args": ["+4*[1] +3*[x]", "+1*[1]", "PL"],
+        "verdict": "equal",
+        "certificate": {
+            "steps": [{"gen": "shift[toroidal2[x],1]", "z": "+2*[1] +2*[x]",
+                       "exponent": 1},
+                      {"gen": "shift[spherical[s],1]", "z": "+2*[x]",
+                       "exponent": 1}],
+            "conjugator": ["x", "1"]}}
+    assert decide("+3*[1] +3*[x]", "+1*[1]") == {
+        "command": "decide", "args": ["+3*[1] +3*[x]", "+1*[1]", "PL"],
+        "verdict": "distinct", "separator": "abelian-lattice",
+        "values": ["'+3*[1] +3*[x]'", "'+1*[1]'"]}
+
+
 # ---------------------------------------------------------------------------
 # the action itself
 
@@ -565,7 +605,7 @@ def test_rank1_sphere_scenarios_decide_with_small_certificates(n):
     dropped class is x^0).  It kills the toroidal offset and every sphere
     translate (even exponent sums, an even number of sphere points), so an
     offset of odd parity is Distinct; a combination of relations is Equal,
-    with at most one step per lattice generator."""
+    with at most one step per distinct relation."""
     rng = random.Random(705 + n)
     x = S.generator(AB1, "x")
     k = L.Knot("k", S.power(x, n))
@@ -577,7 +617,15 @@ def test_rank1_sphere_scenarios_decide_with_small_certificates(n):
     rels = [phi.toroidal[0].z] + [
         R.from_terms(ctx, [(S.multiply(S.power(x, t), p), s) for s, p in sph])
         for t in range(n)]
-    n_gens = len(I._abelian_lattice(phi)[0])
+
+    def push(terms, t):
+        return dict(R.from_terms(ctx, [(S.multiply(t, w), c) for w, c in terms]).terms)
+
+    zero = R.zero(ctx)
+    offsets = [S.power(x, a) for a in range(n)]
+    n_gens = len(I._orbit_lattice(phi, None, push, offsets, zero, zero)[0])
+    # the helper's relations are the distinct non-zero definitional ones
+    assert n_gens == len({r.terms for r in rels if r})
     for q in range(6):
         y2 = R.from_terms(ctx, [(S.power(x, rng.randrange(n)), rng.randint(-3, 3))
                                 for _ in range(4)])

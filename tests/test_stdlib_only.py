@@ -1,0 +1,22 @@
+"""The library imports nothing outside the standard library."""
+
+import ast
+import pathlib
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).parents[1] / "src" / "selflink"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_absolute_imports_are_stdlib(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    outside = sorted({n.split(".")[0] for n in names} - sys.stdlib_module_names)
+    assert not outside, f"{path.name} imports {outside}"
