@@ -42,11 +42,10 @@ class DimensionMismatch(SelfLinkError):
 
 
 class ParseError(SelfLinkError):
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
         if line is not None:
-            message = f"line {line}" + (f", col {column}" if column is not None else "") + f": {message}"
+            message = f"line {line}: {message}"
         super().__init__(message)
 
 

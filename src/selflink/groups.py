@@ -183,7 +183,7 @@ class GroupElement:
     syllables: tuple[tuple[int, int], ...]
 
     def __repr__(self):
-        # the bracket form of a class key; lattice_member orders keys by repr
+        # the bracket form of a class key
         return f"[{format_word(self)}]"
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":

@@ -89,80 +89,64 @@ class PhiGroup:
     sided_spheres: tuple[tuple[L.SphereData, bool], ...]
 
 
-def build_phi(k: L.Knot, toroidal, spheres=(), zeta_gens=None) -> PhiGroup:
+def _present(knots, factors, invariant, sided_spheres) -> PhiGroup:
+    """The one presentation builder: knots is (k,) or (k1, k2), factors the
+    toroidal traces and their section name per outer factor, invariant the
+    map from a trace to its generator's z.  Each factor has one trace per
+    generator zeta of its knot's centralizer, taken in order; the trace (a
+    link trace, component by component) is a self-trace with latitude zeta
+    on its own factor and 1 on the other."""
+    spec = knots[0].spec
+    if any(k.spec != spec for k in knots):
+        raise SpecMismatch("link components live in different groups")
+    one = G.identity(spec)
+    zetas = tuple(tuple(G.centralizer_generators(spec, k.gamma)) for k in knots)
+    gens = []
+    for i, ((traces, section), zs) in enumerate(zip(factors, zetas)):
+        if len(traces) != len(zs):
+            raise LatitudeMismatch(f"need one {section} trace per centralizer generator "
+                                   f"({len(zs)} generators, {len(traces)} traces)")
+        for tr, zeta in zip(traces, zs):
+            parts = tuple(zeta if j == i else one for j in range(len(knots)))
+            components = (tr,) if len(knots) == 1 else (tr.trace1, tr.trace2)
+            for comp, k, lat in zip(components, knots, parts):
+                ends = (comp.knot_from.label, comp.knot_to.label)
+                if ends != (k.label, k.label) or comp.gamma != k.gamma:
+                    raise NotSelfTrace(f"{section} trace {'->'.join(map(repr, ends))} "
+                                       f"is not a self-trace of {k.label!r}")
+                if comp.latitude != lat:
+                    raise LatitudeMismatch(
+                        f"{section} trace latitude {G.format_word(comp.latitude)} "
+                        f"does not match {G.format_word(lat)}")
+            gens.append(PhiGen(invariant(tr), parts, f"{section}[{G.format_word(zeta)}]"))
+    gammas = tuple(k.gamma for k in knots)
+    ctx = R.two_sided_ring(spec, *gammas) if len(knots) == 2 else R.coset_ring(spec, *gammas)
+    return PhiGroup(knots, ctx, zetas, tuple(gens), tuple(sided_spheres))
+
+
+def build_phi(k: L.Knot, toroidal, spheres=()) -> PhiGroup:
     """Present Phi(k) from one self-trace per centralizer generator plus
     sphere pairing data; the translate and conjugate closures stay symbolic."""
-    if zeta_gens is None:
-        zeta_gens = G.centralizer_generators(k.spec, k.gamma)
-    zeta_gens = tuple(zeta_gens)
-    if len(toroidal) != len(zeta_gens):
-        raise LatitudeMismatch(
-            f"need one toroidal trace per centralizer generator "
-            f"({len(zeta_gens)} generators, {len(toroidal)} traces)")
-    gens = []
-    for tr, phi in zip(toroidal, zeta_gens):
-        if (tr.knot_from.label != k.label or tr.knot_to.label != k.label
-                or tr.gamma != k.gamma):
-            raise NotSelfTrace(
-                f"toroidal trace {tr.knot_from.label!r}->{tr.knot_to.label!r} "
-                f"is not a self-trace of {k.label!r}")
-        if tr.latitude != phi:
-            raise LatitudeMismatch(
-                f"trace latitude {G.format_word(tr.latitude)} does not match "
-                f"centralizer generator {G.format_word(phi)}")
-        gens.append(PhiGen(L.mu_trace(tr), (phi,), f"toroidal[{G.format_word(phi)}]"))
-    ctx = R.coset_ring(k.spec, k.gamma)
-    return PhiGroup((k,), ctx, (zeta_gens,), tuple(gens),
-                    tuple((s, False) for s in spheres))
+    return _present((k,), ((toroidal, "toroidal"),), L.mu_trace,
+                    ((s, False) for s in spheres))
 
 
-def phi_conjugation_only(k: L.Knot, zeta_gens=None) -> PhiGroup:
+def phi_conjugation_only(k: L.Knot) -> PhiGroup:
     """The spherical presentation with no double points at all: every
     generator is (0, phi).  With gamma = 1 this is the unknot preset, where
     the action degenerates to plain conjugation by the fundamental group."""
-    if zeta_gens is None:
-        zeta_gens = G.centralizer_generators(k.spec, k.gamma)
-    traces = [L.Trace(k, k, (), phi) for phi in zeta_gens]
-    return build_phi(k, traces, (), zeta_gens)
+    traces = [L.Trace(k, k, (), phi) for phi in G.centralizer_generators(k.spec, k.gamma)]
+    return build_phi(k, traces)
 
 
 def build_phi_link(k1: L.Knot, k2: L.Knot, toroidal1=(), toroidal2=(),
-                   spheres_left=(), spheres_right=(),
-                   zeta1=None, zeta2=None) -> PhiGroup:
+                   spheres_left=(), spheres_right=()) -> PhiGroup:
     """Two-sided presentation: toroidal generators
     (lambda(K1_q, K2), (phi_q, 1)) and (lambda(K1, K2_q), (1, psi_q)) read
     off link traces, left/right sphere families kept symbolic."""
-    if k1.spec != k2.spec:
-        raise SpecMismatch("link components live in different groups")
-    spec = k1.spec
-    if zeta1 is None:
-        zeta1 = G.centralizer_generators(spec, k1.gamma)
-    if zeta2 is None:
-        zeta2 = G.centralizer_generators(spec, k2.gamma)
-    zeta1, zeta2 = tuple(zeta1), tuple(zeta2)
-    if len(toroidal1) != len(zeta1) or len(toroidal2) != len(zeta2):
-        raise LatitudeMismatch("need one toroidal link trace per centralizer generator")
-    one = G.identity(spec)
-    ctx = R.two_sided_ring(spec, k1.gamma, k2.gamma)
-    gens = []
-
-    def _absorb(lt: L.LinkTrace, side, expect_phi, expect_psi):
-        for tr, k in ((lt.trace1, k1), (lt.trace2, k2)):
-            if tr.knot_from.label != k.label or tr.knot_to.label != k.label or tr.gamma != k.gamma:
-                raise NotSelfTrace(f"link trace component is not a self-trace of {k.label!r}")
-        if lt.trace1.latitude != expect_phi or lt.trace2.latitude != expect_psi:
-            raise LatitudeMismatch("link trace latitudes do not match the centralizer generators")
-        z = R.from_terms(ctx, [(g, s) for s, g in lt.cross_points])
-        gens.append(PhiGen(z, (expect_phi, expect_psi),
-                           f"toroidal{side}[{G.format_word(expect_phi if side == 1 else expect_psi)}]"))
-
-    for lt, phi in zip(toroidal1, zeta1):
-        _absorb(lt, 1, phi, one)
-    for lt, psi in zip(toroidal2, zeta2):
-        _absorb(lt, 2, one, psi)
-    return PhiGroup((k1, k2), ctx, (zeta1, zeta2), tuple(gens),
-                    tuple((s, False) for s in spheres_left)
-                    + tuple((s, True) for s in spheres_right))
+    return _present((k1, k2), ((toroidal1, "toroidal1"), (toroidal2, "toroidal2")),
+                    L.lambda_link, [(s, False) for s in spheres_left]
+                    + [(s, True) for s in spheres_right])
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +267,7 @@ def replay(cert: Certificate, y1: R.RingElement, y2: R.RingElement) -> bool:
 # shared helpers
 
 
-def _ball(spec, gens, radius, cap=400):
+def _ball(spec, gens, radius, cap):
     """Deterministic ball of words in gens and inverses, identity first."""
     out = [G.identity(spec)]
     seen = {out[0]}
@@ -337,10 +321,11 @@ def _orbit_lattice(phi, image, push, offsets, y1, y2):
     source, offset) first occurrences in order, and (shift, coefficients)
     for the first outer shift of y2 whose difference from y1 is in their
     span, or None.  image maps words, or is None for the ring itself, where
-    an element is its own vector at the trivial offset offsets[0]; push
-    maps (image, coefficient) terms, each translated by an offset, to a
-    class vector.  Toroidal offsets move only under a link's biaction,
-    sphere families under every offset."""
+    an element is its own vector at the trivial offset offsets[0]: its
+    terms are already canonical, so that shortcut skips canonicalizing
+    every key again.  push maps (image, coefficient) terms, each translated
+    by an offset, to a class vector.  Toroidal offsets move only under a
+    link's biaction, sphere families under every offset."""
     shifts = offsets if _shifts_keys(phi) else offsets[:1]
 
     def imaged(pairs):
@@ -409,20 +394,21 @@ def _decide_abelian(y1, y2, phi) -> DecisionResult:
     shift, coeffs = hit
     link = _shifts_keys(phi)
     c = (shift, one) if link else (one,)
-    # replay applies the steps to y2 and c last, which moves the offsets
-    # too; undo c on each generator used to compensate
+    # every step is a pure generator (z, 1).  replay applies the steps to y2
+    # and c last, which moves the offsets too; undo c on each z to compensate
     c_inv = tuple(G.invert(a) for a in c)
     steps = []
     for (rel, src, t), k in zip(relations, coeffs):
         if not k:
             continue
         z = R.RingElement(ctx, tuple(rel.items()))   # a ring element's terms, in order
-        label = src.provenance if isinstance(src, PhiGen) else f"spherical[{src.label}]"
+        toroidal = isinstance(src, PhiGen)
+        name = src.provenance if toroidal else f"spherical[{src.label}]"
         if link:
-            src = PhiGen(_outer(c_inv, z), (one, one), f"shift[{label},{G.format_word(t)}]")
-        elif not isinstance(src, PhiGen):
-            src = _translate_gen(phi, z, src, t)
-        steps.append((src, k))
+            name = f"shift[{name},{G.format_word(t)}]"
+        elif not toroidal:
+            name += f"@{G.format_word(t)}"
+        steps.append((PhiGen(_outer(c_inv, z), (one,) * len(c), name), k))
     return DecisionResult("equal", certificate=Certificate(tuple(steps), c))
 
 

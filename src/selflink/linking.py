@@ -200,19 +200,19 @@ def lambda_absolute(spec: G.GroupSpec, cross_points) -> R.RingElement:
 # connected sum and realization
 
 
-def connect_sum(d1, d2, band: G.GroupElement, cross_points=(), strict: bool = True):
+def connect_sum(d1, d2, band: G.GroupElement, cross_points=()):
     """Double points of a band sum of two singular null-concordances.
 
     The result satisfies mu = mu(d1) + band mu(d2) band^-1 + lambda band^-1
-    exactly at the point-list level.  In strict mode the cross-point linking
-    must vanish in the plain group ring, which is the hypothesis for
-    conjugacy-class additivity.
+    exactly at the point-list level.  The cross-point linking must vanish in
+    the plain group ring, which is the hypothesis for conjugacy-class
+    additivity.
     """
     spec = band.spec
     d1 = _check_points(spec, d1)
     d2 = _check_points(spec, d2)
     cross_points = _check_points(spec, cross_points)
-    if strict and lambda_absolute(spec, cross_points):
+    if lambda_absolute(spec, cross_points):
         raise NonVanishingLinking(
             "cross-point linking does not vanish; separate the knots first")
     band_inv = G.invert(band)

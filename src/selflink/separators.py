@@ -149,16 +149,17 @@ def lattice_member(relations, coeffs: dict):
     """Membership of a sparse vector in the span of sparse relation vectors.
 
     Returns the integer combination or None.  Total: combinations cannot
-    leave the union of supports, so restricting there is exact.
+    leave the union of supports, so restricting there is exact.  Keys are
+    indexed in first-occurrence order: which relations are kept, the
+    kernel's Hermite basis in relation coordinates, and so the size-reduced
+    combination do not depend on the order.
     """
-    keys = dict.fromkeys(itertools.chain(*relations, coeffs))
-    keys = sorted(keys, key=repr)  # keys need not be mutually orderable
-    index = {k: i for i, k in enumerate(keys)}
-    matrix = [[0] * len(relations) for _ in keys]
+    index = {k: i for i, k in enumerate(dict.fromkeys(itertools.chain(*relations, coeffs)))}
+    matrix = [[0] * len(relations) for _ in index]
     for j, rel in enumerate(relations):
         for k, c in rel.items():
             matrix[index[k]][j] = c
-    v = [0] * len(keys)
+    v = [0] * len(index)
     for k, c in coeffs.items():
         v[index[k]] = c
     return lattice_solve(matrix, v)

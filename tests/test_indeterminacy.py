@@ -219,6 +219,32 @@ def test_link_abelian_certificate_is_pinned():
         "values": ["'+3*[1] +3*[x]'", "'+1*[1]'"]}
 
 
+def test_abelian_certificate_steps_are_pure():
+    """Every step of an abelian-lattice certificate is a pure generator
+    (z, 1), a knot's toroidal step included, so replaying it never
+    conjugates."""
+    x = S.generator(AB1, "x")
+    k = L.Knot("k", S.power(x, 6))
+    tr = L.Trace(k, k, ((1, x), (-1, S.power(x, 2))), x)
+    sphere = L.SphereData("s", ((1, x), (1, S.power(x, 3))))
+    phi = I.build_phi(k, [tr], [sphere])
+    y2 = R.parse_ring(phi.context, "+1*[x]")
+    # [x] - [x^2] needs the toroidal generator: the sphere translates span
+    # [x] + [x^3], 2 [x] and [x^2]
+    y1 = R.add(y2, R.scale(3, phi.toroidal[0].z))
+    knot_cert = I.decide_equal(y1, y2, phi).certificate
+    assert "toroidal[x]" in [g.provenance for g, _ in knot_cert.steps]
+    scn = S.parse_scenario(LINK_LATTICE_SCN)
+    ctx = scn.phis["PL"].context
+    link_cert = I.decide_equal(R.parse_ring(ctx, "+4*[1] +3*[x]"), R.parse_ring(ctx, "+1*[1]"),
+                               scn.phis["PL"]).certificate
+    for cert in (knot_cert, link_cert):
+        assert cert.steps
+        for gen, _ in cert.steps:
+            assert len(gen.parts) == len(cert.conjugator)
+            assert all(S.is_identity(p) for p in gen.parts), gen.provenance
+
+
 # ---------------------------------------------------------------------------
 # the action itself
 
@@ -299,6 +325,30 @@ def test_build_phi_not_self_trace():
     tr = L.Trace(ka, kb, (), gamma)
     with pytest.raises(NotSelfTrace):
         I.build_phi(ka, toroidal=[tr])
+
+
+def test_build_phi_link_validation():
+    """Each link trace is checked component by component: a self-trace of
+    its knot with latitude (zeta, 1) or (1, zeta), one per centralizer
+    generator of its factor."""
+    from selflink import LatitudeMismatch, NotSelfTrace
+    x, one = S.generator(AB1, "x"), S.identity(AB1)
+    k1, k2 = L.Knot("k1", S.power(x, 2)), L.Knot("k2", S.power(x, 4))
+    lt1 = L.LinkTrace(L.Trace(k1, k1, (), x), L.Trace(k2, k2, (), one))
+    lt2 = L.LinkTrace(L.Trace(k1, k1, (), one), L.Trace(k2, k2, (), x))
+    assert len(I.build_phi_link(k1, k2, [lt1], [lt2]).toroidal) == 2
+    other = L.Knot("k3", S.power(x, 4))
+    crossing = L.LinkTrace(L.Trace(k1, k1, (), one), L.Trace(other, k2, (), x))
+    with pytest.raises(NotSelfTrace, match="toroidal2 trace 'k3'->'k2'"):
+        I.build_phi_link(k1, k2, [lt1], [crossing])
+    both = L.LinkTrace(L.Trace(k1, k1, (), x), L.Trace(k2, k2, (), x))
+    with pytest.raises(LatitudeMismatch, match="toroidal1 trace latitude x"):
+        I.build_phi_link(k1, k2, [both], [lt2])
+    with pytest.raises(LatitudeMismatch, match="toroidal2 trace latitude x does not match 1"):
+        I.build_phi_link(k1, k2, [lt1], [lt1])
+    for t1, t2 in (([lt1], []), ([lt1, lt1], [lt2]), ([], [])):
+        with pytest.raises(LatitudeMismatch, match="per centralizer generator"):
+            I.build_phi_link(k1, k2, t1, t2)
 
 
 def test_is_spherical_presented():

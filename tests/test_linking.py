@@ -8,7 +8,7 @@ import pytest
 import selflink as S
 import selflink.cosets as R
 import selflink.linking as L
-from conftest import AB1, FREE2, FXZ, random_word
+from conftest import AB1, AB2, FREE2, FXZ, PROD, random_points, random_word
 
 CASES = 10000
 
@@ -88,6 +88,18 @@ def test_lambda_sphere_linearity():
         t1 = R.from_terms(ctx, [(p, s) for s, p in L.translate_points(g1, pts1)])
         t2 = R.from_terms(ctx, [(p, s) for s, p in L.translate_points(g2, pts2)])
         assert combo == R.add(t1, t2)
+
+
+@pytest.mark.parametrize("spec", [FREE2, AB2, FXZ, PROD])
+def test_mu_absolute_projects_to_mu_pi(spec):
+    """mu_absolute lives in the reduced ring, and forgetting to conjugacy
+    classes gives mu_pi."""
+    rng = random.Random(502)
+    for _ in range(300):
+        pts = random_points(rng, spec, 5, 4)
+        y = L.mu_absolute(spec, pts)
+        assert y.context == R.reduced_ring(spec)
+        assert R.project_pi(y) == L.mu_pi(spec, pts)
 
 
 def test_mu_pi_connect_sum_additivity():

@@ -252,6 +252,26 @@ def test_quotient_decide_mod_structure():
     assert max(abs(k) for k in coeffs) < 10 ** 12
 
 
+def test_lattice_member_ignores_key_order():
+    """The same relations, their keys inserted in shuffled orders, give the
+    same combination: redundant relations make it non-unique, and the
+    size-reduced one does not depend on the key order."""
+    rng = random.Random(406)
+    keys = ["a", "b", "c", "d"]
+    for _ in range(300):
+        relations = [{k: rng.choice((-3, -2, -1, 1, 2, 3)) for k in rng.sample(keys, 2)}
+                     for _ in range(rng.randint(1, 7))]
+        target = {k: rng.randint(-9, 9) for k in keys}
+        if rng.random() < 0.7:
+            target = {k: sum(rng.randint(-4, 4) * r.get(k, 0) for r in relations)
+                      for k in keys}
+        expected = SEP.lattice_member(relations, target)
+        for _ in range(4):
+            order = rng.sample(keys, len(keys))
+            shuffled = [{k: r[k] for k in order if k in r} for r in relations]
+            assert SEP.lattice_member(shuffled, {k: target[k] for k in order}) == expected
+
+
 # ---------------------------------------------------------------------------
 # separators
 
