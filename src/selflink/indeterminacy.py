@@ -420,19 +420,19 @@ def _separator_distinct(y1, y2, phi) -> DecisionResult | None:
     """Try the shipped abelian-quotient separators; sound but partial.
 
     A separator's image of the orbit lattice is an invariant: y1 outside
-    the pushed orbit of y2 is Distinct.  The offsets are the target
-    elements, enumerated exactly on a finite target; where offsets must be
-    enumerated (a link's biaction, or sphere families), a separator with
-    an infinite target abstains.
+    the pushed orbit of y2 is Distinct.  Where offsets are enumerated (a
+    link's biaction, or sphere families), the finite targets run, one offset
+    per class.  Otherwise only the abelianization runs: a `modN` pushed
+    lattice holds the integral one reduced mod N, so it hits where Z does.
     """
     ctx = phi.context
     enumerates = _shifts_keys(phi) or bool(phi.sided_spheres)
     for sep in S.default_separator_suite(ctx.spec):
-        if enumerates and not sep.target_finite:
+        if sep.target_finite != enumerates:
             continue
-        offsets = sep.target_elements() if enumerates else [(0,) * sep.dim]
-        push = S.PushedContext.of(sep, ctx).push
-        if _orbit_lattice(phi, sep.image, push, offsets, y1, y2)[1] is None:
+        pc = S.PushedContext.of(sep, ctx)
+        offsets = pc.offsets() if enumerates else [(0,) * sep.dim]
+        if _orbit_lattice(phi, sep.image, pc.push, offsets, y1, y2)[1] is None:
             return DecisionResult("distinct", separator=sep.name, values=tuple(
                 tuple(sorted(S.push_forward(sep, y).items())) for y in (y1, y2)))
     return None

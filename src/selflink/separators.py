@@ -1,23 +1,18 @@
 """Homomorphic quotient invariants certifying inequality verdicts.
 
 A separator pushes group elements through a homomorphism onto a finitely
-generated abelian target (free rank plus cyclic factors).  Classes of the
-source coset rings map to exactly canonicalized classes of the target, and
-membership questions in the pushed relation lattice are decided by a row
-Hermite normal form over arbitrary-precision integers, which also yields
-small integer combinations (`lattice_solve`, `lattice_member`).
-
-A `PushedContext` keeps a table of the classes it has computed, which lives
-as long as the context (one separator check of one decision).  On a finite
-target (the `modN` separators) the enumerated orbit of a vector is its whole
-class, so one enumeration fills the table for every member of the orbit; on
-an infinite target only the queried vector is stored.
+generated abelian target, free or finite.  Classes of the source coset
+rings map to exactly canonicalized classes of the target, and membership
+questions in the pushed relation lattice are decided by a row Hermite
+normal form over arbitrary-precision integers, which also yields small
+integer combinations (`lattice_solve`, `lattice_member`).  On a finite
+target the same Hermite basis gives each pushed class its key and one
+offset per class (`PushedContext`).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from . import cosets as R
@@ -182,6 +177,8 @@ class Separator:
         for img in self.images:
             if len(img) != len(self.moduli):
                 raise DimensionMismatch("image dimension does not match moduli")
+        if any(m < 0 for m in self.moduli) or 0 in self.moduli and any(self.moduli):
+            raise DimensionMismatch("moduli must be all 0 (free) or all positive (finite)")
 
     @property
     def dim(self):
@@ -189,7 +186,7 @@ class Separator:
 
     @property
     def target_finite(self):
-        return all(m > 0 for m in self.moduli)
+        return 0 not in self.moduli
 
     def reduce(self, vec):
         return tuple(v % m if m else v for v, m in zip(vec, self.moduli))
@@ -203,14 +200,6 @@ class Separator:
             for d in range(self.dim):
                 vec[d] += e * img[d]
         return self.reduce(vec)
-
-    def target_elements(self):
-        if not self.target_finite:
-            raise DimensionMismatch("target is infinite")
-        out = [()]
-        for m in self.moduli:
-            out = [v + (i,) for v in out for i in range(m)]
-        return out
 
 
 def abelianization(spec: G.GroupSpec) -> Separator:
@@ -238,43 +227,45 @@ def _vec_add(a, b, scale=1):
     return tuple(x + scale * y for x, y in zip(a, b))
 
 
-def _order_key(sep: Separator, vec):
-    free_norm = sum(abs(v) for v, m in zip(vec, sep.moduli) if m == 0)
-    return (free_norm, vec)
+def _l1(v):
+    return sum(map(abs, v))
 
 
-def _translate_range(sep: Separator, v, g_img, pad=1):
-    """Candidate exponents n for minimizing v + n*g over the target."""
-    free_g = sum(abs(x) for x, m in zip(g_img, sep.moduli) if m == 0)
-    period = 1
-    for x, m in zip(g_img, sep.moduli):
-        if m:
-            period = math.lcm(period, m // math.gcd(m, x % m) if x % m else 1)
-    if free_g:
-        free_v = sum(abs(x) for x, m in zip(v, sep.moduli) if m == 0)
-        bound = (2 * free_v // free_g + 2) * pad * period
-        return range(-bound, bound + 1)
-    return range(period)
+def _translate_range(v, g, pad=1):
+    """Exponents n that can minimize the L1 norm of v + n*g on a free target."""
+    if not _l1(g):
+        return range(1)
+    bound = (2 * _l1(v) // _l1(g) + 2) * pad
+    return range(-bound, bound + 1)
 
 
 @dataclass(frozen=True)
 class PushedContext:
     """Image of a ring context under a separator; canonicalizes pushed
-    orbits exactly (the target is abelian, so orbits are short).
-
-    Answers are kept in a per-context table from reduced target vectors to
-    classes, filled on demand.  On a finite target the enumerated orbit is
-    the whole class and every member has the same orbit set, so one
-    enumeration answers all of its members.  On an infinite target the
-    enumeration window depends on the queried vector, which alone is
-    stored.
-    """
+    classes exactly.  On a finite target the class of w is w + L (+-w + L
+    one-sided), L spanned by the moduli and the side images the flavor
+    quotients by: gamma (coset), gamma and delta (two-sided), none
+    (conjugacy).  The Hermite reduction r(w) modulo L is the lex-least
+    member of w + L in the reduced box, so the key is r(w), or the lesser
+    of r(w) and r(-w).  On a free target it is the least member, by L1 norm
+    then lex, of a window of the orbit around w."""
     sep: Separator
     flavor: str
     gamma_img: tuple | None = None
     delta_img: tuple | None = None
-    _classes: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sides = {R.COSET: (self.gamma_img,),
+                 R.TWO_SIDED: (self.gamma_img, self.delta_img)}.get(self.flavor, ())
+        basis = {}
+        if self.sep.target_finite:
+            n = self.sep.dim
+            for row in [[m * (i == j) for j in range(n)]
+                        for i, m in enumerate(self.sep.moduli)] + [list(s) for s in sides]:
+                _insert(basis, row)
+        # L has full rank, so row c of its Hermite basis has its pivot in column c
+        object.__setattr__(self, "_rows", tuple(basis[c] for c in sorted(basis)))
 
     @classmethod
     def of(cls, sep: Separator, ctx: R.RingContext):
@@ -282,46 +273,49 @@ class PushedContext:
         di = sep.image(ctx.delta) if ctx.delta is not None else None
         return cls(sep, ctx.flavor, gi, di)
 
-    def _orbit(self, vec) -> list:
-        """Pushed orbit of a reduced vector: {+-w + n*gamma} (coset),
+    def _reduce(self, vec) -> tuple:
+        """The member of vec + L in the box of L's Hermite diagonal."""
+        v = list(vec)
+        for c, row in enumerate(self._rows):
+            if q := v[c] // row[c]:
+                v = _sub(v, row, q)
+        return tuple(v)
+
+    def offsets(self) -> list:
+        """One target vector per coset of L on a finite target, the trivial
+        one first: a pushed class, and so every relation and shift, is the
+        same at t and at t + gamma_img (+ delta_img)."""
+        if not self.sep.target_finite:
+            raise DimensionMismatch("target is infinite")
+        return list(itertools.product(*(range(row[c]) for c, row in enumerate(self._rows))))
+
+    def _window(self, vec) -> list:
+        """Pushed orbit of a vector on a free target, {+-w + n*gamma} (coset),
         w + <gamma, delta> (two-sided), {w, -w} (conjugacy), within a window
-        around vec on a free coordinate."""
-        sep = self.sep
-        flavor = self.flavor
-        if flavor == R.TWO_SIDED:
-            pad = 1
-            gfree = sum(abs(x) for x, m in zip(self.gamma_img, sep.moduli) if m == 0)
-            dfree = sum(abs(x) for x, m in zip(self.delta_img, sep.moduli) if m == 0)
-            if gfree and dfree:
-                pad = max(gfree, dfree)
-            orbit = []
-            for n in _translate_range(sep, vec, self.gamma_img, pad):
-                wn = _vec_add(vec, self.gamma_img, n)
-                for m in _translate_range(sep, sep.reduce(wn), self.delta_img, pad):
-                    orbit.append(sep.reduce(_vec_add(wn, self.delta_img, m)))
-            return orbit
-        branches = [vec, sep.reduce(tuple(-x for x in vec))]
-        if flavor == R.CONJUGACY:
-            return branches
-        return [sep.reduce(_vec_add(w, self.gamma_img, n))
-                for w in branches
-                for n in _translate_range(sep, w, self.gamma_img)]
+        around it."""
+        neg = tuple(-x for x in vec)
+        if self.flavor == R.CONJUGACY:
+            return [vec, neg]
+        g = self.gamma_img
+        if self.flavor == R.COSET:
+            return [_vec_add(w, g, n) for w in (vec, neg) for n in _translate_range(w, g)]
+        d = self.delta_img
+        pad = max(_l1(g), _l1(d)) if _l1(g) and _l1(d) else 1
+        orbit = []
+        for n in _translate_range(vec, g, pad):
+            wn = _vec_add(vec, g, n)
+            orbit += [_vec_add(wn, d, m) for m in _translate_range(wn, d, pad)]
+        return orbit
 
     def pushed_class(self, vec) -> tuple | None:
         """Canonical pushed class of a target vector, None for killed ones."""
-        sep = self.sep
-        vec = sep.reduce(vec)
-        if vec in self._classes:
-            return self._classes[vec]
-        orbit = self._orbit(vec)
-        zero = (0,) * sep.dim
-        if zero in orbit:
-            pk = zero if self.flavor == R.TWO_SIDED else None
+        if not self.sep.target_finite:
+            key = min(self._window(vec), key=lambda v: (_l1(v), v))
+        elif self.flavor == R.TWO_SIDED:
+            key = self._reduce(vec)
         else:
-            pk = min(orbit, key=lambda v: _order_key(sep, v))
-        for member in orbit if sep.target_finite else (vec,):
-            self._classes[member] = pk
-        return pk
+            key = min(self._reduce(vec), self._reduce(-x for x in vec))
+        return key if any(key) or self.flavor == R.TWO_SIDED else None
 
     def push(self, terms, shift) -> dict:
         """Pushforward of (target vector, coefficient) terms, each vector

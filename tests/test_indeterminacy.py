@@ -1,5 +1,6 @@
 """The indeterminacy action and the certified equality decision procedure."""
 
+import itertools
 import random
 import time
 
@@ -9,7 +10,8 @@ import selflink as S
 import selflink.cosets as R
 import selflink.indeterminacy as I
 import selflink.linking as L
-from conftest import AB1, AB2, FREE2, random_word
+import selflink.separators as SEP
+from conftest import AB1, AB2, FREE2, FXZ, PROD, random_word
 
 CASES = 10000
 
@@ -438,7 +440,6 @@ def test_equal_certificates_always_replay():
 
 
 def test_distinct_separator_recomputes():
-    import selflink.separators as SEP
     gamma = S.parse_word(FREE2, "x y")
     k = L.Knot("k", gamma)
     phi = I.phi_conjugation_only(k)
@@ -586,6 +587,117 @@ def test_free_link_separator_distinct():
     res = I.decide_equal_link(y1, y2, phi)
     assert (res.verdict, res.separator) == ("distinct", "mod2")
     assert res.values == ((((0, 0), 1),), (((0, 0), 2),))
+
+
+# ---------------------------------------------------------------------------
+# the separator stage: offsets and the suite
+
+
+def _random_presentation(rng, spec, kind):
+    """A random knot ("knot", "spheres": with one or two sphere families)
+    or 2-component link ("link": with a sphere family on each side half the
+    time), with one random trace per centralizer generator.  Sphere points
+    come in pairs of opposite signs, so that sphere relations do not span
+    every pushed class."""
+    one = S.identity(spec)
+
+    def points(count):
+        return tuple((rng.choice((1, -1)), random_word(rng, spec, 3))
+                     for _ in range(rng.randint(0, count)))
+
+    def knot(label):
+        while True:
+            gamma = random_word(rng, spec, 4)
+            if not S.is_identity(gamma):
+                return L.Knot(label, gamma)
+
+    def zetas(k):
+        return S.centralizer_generators(spec, k.gamma)
+
+    def spheres(label, count):
+        return [L.SphereData(f"{label}{i}", sum((((1, random_word(rng, spec, 3)),
+                                                  (-1, random_word(rng, spec, 3)))
+                                                 for _ in range(rng.randint(1, 2))), ()))
+                for i in range(count)]
+
+    if kind == "link":
+        k1, k2 = knot("k1"), knot("k2")
+        t1 = [L.LinkTrace(L.Trace(k1, k1, points(2), z), L.Trace(k2, k2, points(1), one),
+                          points(2)) for z in zetas(k1)]
+        t2 = [L.LinkTrace(L.Trace(k1, k1, points(1), one), L.Trace(k2, k2, points(2), z),
+                          points(2)) for z in zetas(k2)]
+        return I.build_phi_link(k1, k2, t1, t2, spheres("l", rng.randint(0, 1)),
+                                spheres("r", rng.randint(0, 1)))
+    k = knot("k")
+    traces = [L.Trace(k, k, points(3), z) for z in zetas(k)]
+    return I.build_phi(k, traces, spheres("s", rng.randint(1, 2) if kind == "spheres" else 0))
+
+
+def _random_pair(rng, phi):
+    """(y1, y2): y1 is y2 moved by one or two generators of Phi half the
+    time, else a random value."""
+    ctx = phi.context
+    spec = ctx.spec
+
+    def value():
+        return R.from_terms(ctx, [(random_word(rng, spec, 3), rng.choice((-2, -1, 1, 2)))
+                                  for _ in range(rng.randint(0, 3))])
+    y2 = value()
+    if rng.random() < 0.5:
+        return value(), y2
+    y1 = y2
+    for _ in range(rng.randint(1, 2)):
+        if phi.toroidal and (rng.random() < 0.6 or not phi.sided_spheres):
+            y1 = I._step(rng.choice(phi.toroidal), rng.choice((1, -1)), y1)
+        elif phi.sided_spheres:
+            sph, right = rng.choice(phi.sided_spheres)
+            z = I._sphere_element(ctx, random_word(rng, spec, 2), sph.points, right)
+            y1 = R.add(y1, z if rng.random() < 0.5 else R.negate(z))
+    return y1, y2
+
+
+@pytest.mark.parametrize("spec", [FREE2, S.free_times_z("x", "y", "t"), PROD],
+                         ids=["free2", "free_times_z", "product"])
+def test_orbit_lattice_over_offsets_matches_all_target_elements(spec):
+    """On links and knots with spheres, a finite separator's orbit lattice
+    hits over its offsets (one per class of the target modulo the side
+    images) exactly when it hits over every target element."""
+    rng = random.Random(707)
+    hits = misses = 0
+    moduli = range(2, 13) if len(spec.labels) == 2 else range(2, 6)
+    for case in range(24):
+        phi = _random_presentation(rng, spec, ("link", "spheres")[case % 2])
+        y1, y2 = _random_pair(rng, phi)
+        for m in moduli:
+            sep = SEP.cyclic_separator(spec, m)
+            pc = SEP.PushedContext.of(sep, phi.context)
+            every = list(itertools.product(range(m), repeat=sep.dim))
+            hit = I._orbit_lattice(phi, sep.image, pc.push, every, y1, y2)[1] is not None
+            assert (I._orbit_lattice(phi, sep.image, pc.push, pc.offsets(), y1, y2)[1]
+                    is not None) == hit
+            hits += hit
+            misses += not hit
+    assert hits >= 10 and misses >= 10
+
+
+@pytest.mark.parametrize("spec", [FREE2, FXZ, PROD, AB2],
+                         ids=["free2", "free_times_z", "product", "ab2"])
+def test_modn_separators_hit_where_the_abelianization_hits(spec):
+    """A knot without spheres enumerates no offsets, and the separator check
+    runs only the abelianization: wherever its orbit lattice hits at offset
+    0, every `modN` lattice hits too, so no `modN` separator could decide."""
+    rng = random.Random(708)
+    hits = 0
+    for _ in range(30):
+        phi = _random_presentation(rng, spec, "knot")
+        y1, y2 = _random_pair(rng, phi)
+        suite = SEP.default_separator_suite(spec)
+        found = [I._orbit_lattice(phi, sep.image, SEP.PushedContext.of(sep, phi.context).push,
+                                  [(0,) * sep.dim], y1, y2)[1] is not None for sep in suite]
+        if found[0]:
+            hits += 1
+            assert all(found)
+    assert hits >= 10
 
 
 # ---------------------------------------------------------------------------

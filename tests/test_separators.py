@@ -1,5 +1,6 @@
 """Hermite normal form, lattice membership, and abelian separator soundness."""
 
+import itertools
 import random
 import time
 
@@ -289,7 +290,7 @@ def test_abelianization_is_homomorphism(rng):
 def test_cyclic_separator_reduces_mod_m(rng):
     sep = SEP.cyclic_separator(FREE2, 5)
     assert sep.target_finite
-    assert len(sep.target_elements()) == 25
+    assert len(SEP.PushedContext.of(sep, R.plain_ring(FREE2)).offsets()) == 25
     for _ in range(300):
         a = random_word(rng, FREE2, 6)
         ab = SEP.abelianization(FREE2).image(a)
@@ -328,7 +329,7 @@ def test_pushed_class_respects_ring_relations(rng):
 
 
 # ---------------------------------------------------------------------------
-# the per-context pushed-class table
+# pushed classes per context
 
 SEPARATORS = {
     "abelianization": SEP.abelianization,
@@ -346,11 +347,10 @@ def _all_flavors(spec, coset_gamma, gamma, delta):
 
 
 def _query_vectors(rng, sep):
-    """Every target vector of a finite target, else a box sample with
-    repeats; shuffled, so most vectors are answered from a table entry that
-    a query of another orbit member wrote."""
+    """Every target vector of a finite target (the offsets of its plain
+    ring), else a box sample with repeats; shuffled."""
     if sep.target_finite:
-        vecs = sep.target_elements()
+        vecs = SEP.PushedContext.of(sep, R.plain_ring(sep.source)).offsets()
     else:
         vecs = [tuple(rng.randint(-3, 3) for _ in range(sep.dim)) for _ in range(60)]
         vecs += vecs[:20]
@@ -365,7 +365,8 @@ def _query_vectors(rng, sep):
 ], ids=["free2", "free_times_z"])
 def test_pushed_class_table_matches_fresh_contexts(spec, words, sep_name):
     """One shared context answers as a fresh context per vector does, and on
-    a finite target its answers are constant on every orbit."""
+    a finite target its answers are constant on every orbit and do not
+    depend on the representative of a vector modulo the moduli."""
     rng = random.Random(602)
     sep = SEPARATORS[sep_name](spec)
     for ctx in _all_flavors(spec, *words):
@@ -390,7 +391,7 @@ def test_pushed_class_table_matches_fresh_contexts(spec, words, sep_name):
 @pytest.mark.parametrize("sep_name", SEPARATORS)
 def test_pushed_class_tables_are_per_context(sep_name):
     """Contexts on one separator with different gamma images keep their own
-    answers, whichever of them filled its table first."""
+    answers, whichever of them answered first."""
     rng = random.Random(603)
     sep = SEPARATORS[sep_name](FREE2)
     pairs = [
@@ -433,3 +434,96 @@ def test_separator_validation():
         SEP.Separator("bad", FREE2, ((1, 0),), (0, 0))
     with pytest.raises(DimensionMismatch):
         SEP.Separator("bad", FREE2, ((1,), (0, 1)), (0,))
+    with pytest.raises(DimensionMismatch):
+        SEP.Separator("neg", FREE2, ((1, 0), (0, 1)), (-3, -3))
+    with pytest.raises(DimensionMismatch):
+        SEP.Separator("mixed", FREE2, ((1, 0), (0, 1)), (0, 3))
+
+
+# ---------------------------------------------------------------------------
+# finite targets: Hermite keys and offsets against brute-force orbits
+
+
+def _random_finite_context(rng, flavor):
+    """A PushedContext on a random finite target of dimension 1 to 3, moduli
+    2 to 12, with random side images; "plain" and "reduced" are the
+    trivial-side two-sided and coset contexts."""
+    dim = rng.randint(1, 3)
+    spec = S.free(*"xyz"[:dim])
+    moduli = tuple(rng.randint(2, 12) for _ in range(dim))
+    sep = SEP.Separator("t", spec, SEP.abelianization(spec).images, moduli)
+
+    def side(trivial=False):
+        return tuple(0 if trivial else rng.randrange(m) for m in moduli)
+    sides = {"plain": (R.TWO_SIDED, side(True), side(True)),
+             "reduced": (R.COSET, side(True), None),
+             R.CONJUGACY: (R.CONJUGACY, None, None),
+             R.COSET: (R.COSET, side(), None),
+             R.TWO_SIDED: (R.TWO_SIDED, side(), side())}[flavor]
+    return SEP.PushedContext(sep, *sides)
+
+
+def _side_cosets(pc):
+    """Every target vector and its coset of the subgroup that the flavor's
+    side images generate, by a breadth-first closure over the target."""
+    moduli = pc.sep.moduli
+    gens = [] if pc.flavor == R.CONJUGACY else [pc.gamma_img]
+    gens += [pc.delta_img] if pc.flavor == R.TWO_SIDED else []
+    coset = {}
+    for v in itertools.product(*(range(m) for m in moduli)):
+        if v in coset:
+            continue
+        members, todo = {v}, [v]
+        while todo:
+            w = todo.pop()
+            for g in gens:
+                u = pc.sep.reduce(SEP._vec_add(w, g))
+                if u not in members:
+                    members.add(u)
+                    todo.append(u)
+        frozen = frozenset(members)
+        for w in members:
+            coset[w] = frozen
+    return coset
+
+
+FLAVORS = ["plain", "reduced", R.CONJUGACY, R.COSET, R.TWO_SIDED]
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_finite_keys_are_lex_least_orbit_members(flavor):
+    """On a finite target pushed_class is the lex-least member of the
+    brute-force orbit (the coset of the side images, joined with that of -w
+    one-sided), and None exactly when a one-sided orbit holds 0."""
+    rng = random.Random(611)
+    for _ in range(40):
+        pc = _random_finite_context(rng, flavor)
+        coset = _side_cosets(pc)
+        zero = (0,) * pc.sep.dim
+        for v, members in coset.items():
+            orbit = set(members)
+            if pc.flavor != R.TWO_SIDED:
+                orbit |= coset[pc.sep.reduce(tuple(-x for x in v))]
+            want = None if zero in orbit and pc.flavor != R.TWO_SIDED else min(orbit)
+            assert pc.pushed_class(v) == want
+            assert pc.pushed_class(SEP._vec_add(v, pc.sep.moduli, -3)) == want
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_offsets_hold_one_member_per_class(flavor):
+    """offsets() starts at 0 and meets every coset of the side images in
+    exactly one vector, so it has |target| / |<side images>| members."""
+    rng = random.Random(612)
+    for _ in range(40):
+        pc = _random_finite_context(rng, flavor)
+        coset = _side_cosets(pc)
+        offsets = pc.offsets()
+        assert offsets[0] == (0,) * pc.sep.dim
+        assert len({coset[t] for t in offsets}) == len(offsets) == len(set(coset.values()))
+        assert len(offsets) == len(coset) // len(coset[offsets[0]])
+
+
+def test_offsets_need_a_finite_target():
+    from selflink import DimensionMismatch
+    with pytest.raises(DimensionMismatch):
+        SEP.PushedContext.of(SEP.abelianization(FREE2), R.plain_ring(FREE2)).offsets()
