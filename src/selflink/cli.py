@@ -23,7 +23,7 @@ from importlib import resources
 
 from . import indeterminacy as I
 from . import scenario as SC
-from .errors import SelfLinkError
+from .errors import ParseError, SelfLinkError
 
 SCHEMA_VERSION = 2
 
@@ -55,7 +55,11 @@ def _build_parser():
 
 def _load(path: str) -> SC.Scenario:
     with open(path, encoding="utf-8") as fh:
-        return SC.parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path} is not UTF-8 text ({e.reason} at byte {e.start})") from e
+    return SC.parse_scenario(text)
 
 
 def _emit(report, as_json, wall_ms):

@@ -25,8 +25,9 @@ pipeline for knots and links:
 
 In an abelian image the orbit of a value is a union of lattice cosets, one
 per outer shift.  One stage, _orbit_lattice, builds the lattice and scans
-the shifts: in the ring of an abelian group it decides exactly, a hit
-becoming the Equal certificate; in a separator's image a miss is Distinct.
+the shifts: in the abelianization of an abelian group, where pushed classes
+are the ring's classes, it decides exactly, a hit becoming the Equal
+certificate; in a separator's image a miss is Distinct.
 
 An outer conjugator is a tuple: (alpha,) conjugates a knot value, (alpha,
 beta) biacts a link value.
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from . import cosets as R
@@ -307,6 +307,13 @@ def _shifts_keys(phi) -> bool:
     return len(phi.zetas) == 2
 
 
+def _enumerates(phi) -> bool:
+    """Whether an orbit lattice scans one offset per class of the target
+    modulo the side images: a link's biaction or sphere families translate
+    keys; otherwise the trivial offset alone serves."""
+    return _shifts_keys(phi) or bool(phi.sided_spheres)
+
+
 def _difference(a: dict, b: dict) -> dict:
     """The sparse vector a - b."""
     return {k: c for k in {**a, **b} if (c := a.get(k, 0) - b.get(k, 0))}
@@ -320,32 +327,24 @@ def _orbit_lattice(phi, image, push, offsets, y1, y2):
     """The relations of the orbit of y2 in an abelian image, as (vector,
     source, offset) first occurrences in order, and (shift, coefficients)
     for the first outer shift of y2 whose difference from y1 is in their
-    span, or None.  image maps words, or is None for the ring itself, where
-    an element is its own vector at the trivial offset offsets[0]: its
-    terms are already canonical, so that shortcut skips canonicalizing
-    every key again.  push maps (image, coefficient) terms, each translated
-    by an offset, to a class vector.  Toroidal offsets move only under a
-    link's biaction, sphere families under every offset."""
+    span, or None.  image maps words; push maps (image, coefficient) terms,
+    each translated by an offset, to a class vector.  Toroidal offsets move
+    only under a link's biaction, sphere families under every offset."""
     shifts = offsets if _shifts_keys(phi) else offsets[:1]
 
-    def imaged(pairs):
-        return list(pairs) if image is None else [(image(w), c) for w, c in pairs]
+    def mover(pairs):
+        return functools.partial(push, [(image(w), c) for w, c in pairs])
 
-    def mover(y):
-        terms = imaged(y.terms)
-        return lambda t: (dict(y.terms) if image is None and t == offsets[0]
-                          else push(terms, t))
-
-    families = [(g, mover(g.z), shifts) for g in phi.toroidal if g.z]
-    families += [(sph, functools.partial(push, imaged((p, s) for s, p in sph.points)),
-                  offsets) for sph, _ in phi.sided_spheres]
+    families = [(g, mover(g.z.terms), shifts) for g in phi.toroidal if g.z]
+    families += [(sph, mover((p, s) for s, p in sph.points), offsets)
+                 for sph, _ in phi.sided_spheres]
     relations = {}
     for src, move, moves in families:
         for t in moves:
             if rel := move(t):
                 relations.setdefault(frozenset(rel.items()), (rel, src, t))
     relations = list(relations.values())
-    v1, move2 = mover(y1)(offsets[0]), mover(y2)
+    v1, move2 = mover(y1.terms)(offsets[0]), mover(y2.terms)
     for t in shifts:
         coeffs = S.lattice_member([r for r, _, _ in relations], _difference(v1, move2(t)))
         if coeffs is not None:
@@ -365,35 +364,35 @@ def _abelian_applicable(phi: PhiGroup) -> bool:
     ctx = phi.context
     if ctx.spec.kind != G.FREE_ABELIAN:
         return False
-    if not _shifts_keys(phi) and not phi.sided_spheres:
+    if not _enumerates(phi):
         return True
     return len(ctx.spec.labels) == 1 and any(
         side is not None and not G.is_identity(side) for side in (ctx.gamma, ctx.delta))
 
 
 def _decide_abelian(y1, y2, phi) -> DecisionResult:
-    """Total decision on abelian specs, over the offsets x^a, 0 <= a < n,
-    with n the gcd of the side exponents (in rank 1 the class keys form
-    Z/n; otherwise only the trivial offset is used).  The size-reduced
-    lattice coefficients become the exponents of the certificate, one step
-    per relation used."""
+    """Total decision on abelian specs, in the abelianization G = Z^n: its
+    pushed classes are the classes of the ring, and the offsets, where
+    enumerated, are one per class of G modulo the side images.  The
+    size-reduced lattice coefficients become the exponents of the
+    certificate, one step per relation used; each relation's z is rebuilt
+    in the ring from its class vectors."""
     ctx = phi.context
     spec = ctx.spec
     one = G.identity(spec)
-    sides = (ctx.gamma, ctx.delta) if len(spec.labels) == 1 else ()
-    n = math.gcd(*(abs(w.syllables[0][1]) for w in sides if w is not None and w.syllables))
-    offsets = [G.make_element(spec, [(0, a)]) for a in range(max(n, 1))]
-
-    def push(terms, t):
-        return dict(R.from_terms(ctx, [(G.multiply(t, w), c) for w, c in terms]).terms)
-
-    relations, hit = _orbit_lattice(phi, None, push, offsets, y1, y2)
+    sep = S.abelianization(spec)
+    pc = S.PushedContext.of(sep, ctx)
+    offsets = pc.offsets() if _enumerates(phi) else [(0,) * sep.dim]
+    relations, hit = _orbit_lattice(phi, sep.image, pc.push, offsets, y1, y2)
     if hit is None:
         return DecisionResult("distinct", separator="abelian-lattice",
                               values=(R.format_ring(y1), R.format_ring(y2)))
+
+    def word(v):
+        return G.make_element(spec, enumerate(v))
     shift, coeffs = hit
     link = _shifts_keys(phi)
-    c = (shift, one) if link else (one,)
+    c = (word(shift), one) if link else (one,)
     # every step is a pure generator (z, 1).  replay applies the steps to y2
     # and c last, which moves the offsets too; undo c on each z to compensate
     c_inv = tuple(G.invert(a) for a in c)
@@ -401,13 +400,13 @@ def _decide_abelian(y1, y2, phi) -> DecisionResult:
     for (rel, src, t), k in zip(relations, coeffs):
         if not k:
             continue
-        z = R.RingElement(ctx, tuple(rel.items()))   # a ring element's terms, in order
+        z = R.from_terms(ctx, [(word(v), a) for v, a in rel.items()])
         toroidal = isinstance(src, PhiGen)
         name = src.provenance if toroidal else f"spherical[{src.label}]"
         if link:
-            name = f"shift[{name},{G.format_word(t)}]"
+            name = f"shift[{name},{G.format_word(word(t))}]"
         elif not toroidal:
-            name += f"@{G.format_word(t)}"
+            name += f"@{G.format_word(word(t))}"
         steps.append((PhiGen(_outer(c_inv, z), (one,) * len(c), name), k))
     return DecisionResult("equal", certificate=Certificate(tuple(steps), c))
 
@@ -426,7 +425,7 @@ def _separator_distinct(y1, y2, phi) -> DecisionResult | None:
     lattice holds the integral one reduced mod N, so it hits where Z does.
     """
     ctx = phi.context
-    enumerates = _shifts_keys(phi) or bool(phi.sided_spheres)
+    enumerates = _enumerates(phi)
     for sep in S.default_separator_suite(ctx.spec):
         if sep.target_finite != enumerates:
             continue

@@ -136,7 +136,9 @@ def parse_scenario(text: str) -> Scenario:
             raise
         except (UnresolvedReference, InvariantViolation):
             raise
-        except (SelfLinkError, ValueError, IndexError) as e:
+        except IndexError as e:
+            raise ParseError(f"incomplete {head!r} declaration", line=line_no) from e
+        except (SelfLinkError, ValueError) as e:
             raise ParseError(str(e), line=line_no) from e
     return scn
 

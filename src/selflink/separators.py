@@ -5,9 +5,10 @@ generated abelian target, free or finite.  Classes of the source coset
 rings map to exactly canonicalized classes of the target, and membership
 questions in the pushed relation lattice are decided by a row Hermite
 normal form over arbitrary-precision integers, which also yields small
-integer combinations (`lattice_solve`, `lattice_member`).  On a finite
-target the same Hermite basis gives each pushed class its key and one
-offset per class (`PushedContext`).
+integer combinations (`lattice_solve`, `lattice_member`).  The same
+Hermite basis, of the lattice that the moduli and the side images span,
+keys every pushed class by its reduction, and where it has full rank gives
+one offset per class (`PushedContext`).
 """
 
 from __future__ import annotations
@@ -227,28 +228,15 @@ def _vec_add(a, b, scale=1):
     return tuple(x + scale * y for x, y in zip(a, b))
 
 
-def _l1(v):
-    return sum(map(abs, v))
-
-
-def _translate_range(v, g, pad=1):
-    """Exponents n that can minimize the L1 norm of v + n*g on a free target."""
-    if not _l1(g):
-        return range(1)
-    bound = (2 * _l1(v) // _l1(g) + 2) * pad
-    return range(-bound, bound + 1)
-
-
 @dataclass(frozen=True)
 class PushedContext:
     """Image of a ring context under a separator; canonicalizes pushed
-    classes exactly.  On a finite target the class of w is w + L (+-w + L
-    one-sided), L spanned by the moduli and the side images the flavor
+    classes exactly.  The class of w is w + L (+-w + L one-sided), L spanned
+    by the moduli (none on a free target) and the side images the flavor
     quotients by: gamma (coset), gamma and delta (two-sided), none
-    (conjugacy).  The Hermite reduction r(w) modulo L is the lex-least
-    member of w + L in the reduced box, so the key is r(w), or the lesser
-    of r(w) and r(-w).  On a free target it is the least member, by L1 norm
-    then lex, of a window of the orbit around w."""
+    (conjugacy).  Its key is the Hermite reduction r(w) modulo L, the
+    canonical member of w + L, or the lesser of r(w) and r(-w); on a finite
+    target r(w) is the lex-least member of w + L in the reduced box."""
     sep: Separator
     flavor: str
     gamma_img: tuple | None = None
@@ -258,14 +246,12 @@ class PushedContext:
     def __post_init__(self):
         sides = {R.COSET: (self.gamma_img,),
                  R.TWO_SIDED: (self.gamma_img, self.delta_img)}.get(self.flavor, ())
+        n = self.sep.dim
         basis = {}
-        if self.sep.target_finite:
-            n = self.sep.dim
-            for row in [[m * (i == j) for j in range(n)]
-                        for i, m in enumerate(self.sep.moduli)] + [list(s) for s in sides]:
-                _insert(basis, row)
-        # L has full rank, so row c of its Hermite basis has its pivot in column c
-        object.__setattr__(self, "_rows", tuple(basis[c] for c in sorted(basis)))
+        for row in [[m * (i == j) for j in range(n)]
+                    for i, m in enumerate(self.sep.moduli)] + [list(s) for s in sides]:
+            _insert(basis, row)
+        object.__setattr__(self, "_rows", tuple(sorted(basis.items())))
 
     @classmethod
     def of(cls, sep: Separator, ctx: R.RingContext):
@@ -274,48 +260,28 @@ class PushedContext:
         return cls(sep, ctx.flavor, gi, di)
 
     def _reduce(self, vec) -> tuple:
-        """The member of vec + L in the box of L's Hermite diagonal."""
+        """The member of vec + L whose pivot entries lie in [0, pivot)."""
         v = list(vec)
-        for c, row in enumerate(self._rows):
+        for c, row in self._rows:
             if q := v[c] // row[c]:
                 v = _sub(v, row, q)
         return tuple(v)
 
     def offsets(self) -> list:
-        """One target vector per coset of L on a finite target, the trivial
-        one first: a pushed class, and so every relation and shift, is the
-        same at t and at t + gamma_img (+ delta_img)."""
-        if not self.sep.target_finite:
-            raise DimensionMismatch("target is infinite")
-        return list(itertools.product(*(range(row[c]) for c, row in enumerate(self._rows))))
-
-    def _window(self, vec) -> list:
-        """Pushed orbit of a vector on a free target, {+-w + n*gamma} (coset),
-        w + <gamma, delta> (two-sided), {w, -w} (conjugacy), within a window
-        around it."""
-        neg = tuple(-x for x in vec)
-        if self.flavor == R.CONJUGACY:
-            return [vec, neg]
-        g = self.gamma_img
-        if self.flavor == R.COSET:
-            return [_vec_add(w, g, n) for w in (vec, neg) for n in _translate_range(w, g)]
-        d = self.delta_img
-        pad = max(_l1(g), _l1(d)) if _l1(g) and _l1(d) else 1
-        orbit = []
-        for n in _translate_range(vec, g, pad):
-            wn = _vec_add(vec, g, n)
-            orbit += [_vec_add(wn, d, m) for m in _translate_range(wn, d, pad)]
-        return orbit
+        """One target vector per coset of L, the trivial one first: a pushed
+        class, and so every relation and shift, is the same at t and at
+        t + gamma_img (+ delta_img).  L must have full rank."""
+        if len(self._rows) != self.sep.dim:
+            raise DimensionMismatch("the moduli and side images do not span a full-rank lattice")
+        return list(itertools.product(*(range(row[c]) for c, row in self._rows)))
 
     def pushed_class(self, vec) -> tuple | None:
         """Canonical pushed class of a target vector, None for killed ones."""
-        if not self.sep.target_finite:
-            key = min(self._window(vec), key=lambda v: (_l1(v), v))
-        elif self.flavor == R.TWO_SIDED:
-            key = self._reduce(vec)
-        else:
-            key = min(self._reduce(vec), self._reduce(-x for x in vec))
-        return key if any(key) or self.flavor == R.TWO_SIDED else None
+        key = self._reduce(vec)
+        if self.flavor == R.TWO_SIDED:
+            return key
+        key = min(key, self._reduce(-x for x in vec))
+        return key if any(key) else None
 
     def push(self, terms, shift) -> dict:
         """Pushforward of (target vector, coefficient) terms, each vector

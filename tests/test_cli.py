@@ -141,25 +141,36 @@ def test_parse_error_is_an_error(tmp_path):
     assert main(["run", str(p)]) == 1
 
 
-@pytest.mark.parametrize("text, argv", [
-    (SCN, ["decide", "FILE", "+1*[x]"]),
-    (SCN, ["canon", "FILE"]),
-    (SCN, ["lambda", "FILE"]),
-    (SCN.replace('"0" P', ""), ["run", "FILE"]),
-    (SCN.replace("phi P knot k", "phi P"), ["run", "FILE"]),
-    ("group free x y\nphilink P left\n", ["run", "FILE"]),
-    (SCN, ["run"]),
-    ("# no group line\n", ["normalize", "FILE", "x"]),
-    ("query normalize x\n", ["run", "FILE"]),
+@pytest.mark.parametrize("text, argv, message", [
+    (SCN, ["decide", "FILE", "+1*[x]"], ""),
+    (SCN, ["canon", "FILE"], ""),
+    (SCN, ["lambda", "FILE"], ""),
+    (SCN.replace('"0" P', ""), ["run", "FILE"], ""),
+    (SCN.replace("phi P knot k", "phi P"), ["run", "FILE"], ""),
+    ("group free x y\nphilink P left\n", ["run", "FILE"], ""),
+    (SCN, ["run"], ""),
+    ("# no group line\n", ["normalize", "FILE", "x"], ""),
+    ("query normalize x\n", ["run", "FILE"], ""),
+    ("group free x y\nknot k\n", ["run", "FILE"],
+     "line 2: incomplete 'knot' declaration"),
+    ("group free x y\nknot k = x\nphi P conjugation\n", ["run", "FILE"],
+     "line 3: incomplete 'phi' declaration"),
+    (b"\xff\xfegroup free x y\n", ["run", "FILE"], "is not UTF-8 text"),
 ], ids=["decide-one-element", "canon-no-knot", "lambda-no-argument",
         "stored-query-too-short", "phi-without-knot", "philink-without-knots",
         "run-without-file", "normalize-without-group",
-        "stored-query-without-group"])
-def test_malformed_input_is_an_error(text, argv, tmp_path, capsys):
+        "stored-query-without-group", "knot-without-word",
+        "phi-without-arguments", "not-utf8"])
+def test_malformed_input_is_an_error(text, argv, message, tmp_path, capsys):
     p = tmp_path / "case.scn"
-    p.write_text(text)
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text)
     assert main([str(p) if a == "FILE" else a for a in argv]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
 
 
 def test_query_time_unknown_name_has_no_line_number(scn_file, capsys):

@@ -780,12 +780,10 @@ def test_rank1_sphere_scenarios_decide_with_small_certificates(n):
         R.from_terms(ctx, [(S.multiply(S.power(x, t), p), s) for s, p in sph])
         for t in range(n)]
 
-    def push(terms, t):
-        return dict(R.from_terms(ctx, [(S.multiply(t, w), c) for w, c in terms]).terms)
-
+    sep = SEP.abelianization(AB1)
+    pc = SEP.PushedContext.of(sep, ctx)
     zero = R.zero(ctx)
-    offsets = [S.power(x, a) for a in range(n)]
-    n_gens = len(I._orbit_lattice(phi, None, push, offsets, zero, zero)[0])
+    n_gens = len(I._orbit_lattice(phi, sep.image, pc.push, pc.offsets(), zero, zero)[0])
     # the helper's relations are the distinct non-zero definitional ones
     assert n_gens == len({r.terms for r in rels if r})
     for q in range(6):

@@ -364,9 +364,10 @@ def _query_vectors(rng, sep):
     (FXZ, ("x y t^2", "x t", "y^2 z")),
 ], ids=["free2", "free_times_z"])
 def test_pushed_class_table_matches_fresh_contexts(spec, words, sep_name):
-    """One shared context answers as a fresh context per vector does, and on
-    a finite target its answers are constant on every orbit and do not
-    depend on the representative of a vector modulo the moduli."""
+    """One shared context answers as a fresh context per vector does, its
+    answers are constant on every orbit (moves by the side images, and
+    negation one-sided), and on a finite target they do not depend on the
+    representative of a vector modulo the moduli."""
     rng = random.Random(602)
     sep = SEPARATORS[sep_name](spec)
     for ctx in _all_flavors(spec, *words):
@@ -375,17 +376,27 @@ def test_pushed_class_table_matches_fresh_contexts(spec, words, sep_name):
         got = {v: shared.pushed_class(v) for v in vecs}
         for v in vecs:
             assert got[v] == SEP.PushedContext.of(sep, ctx).pushed_class(v)
-        if not sep.target_finite:
-            continue
         moves = [img for img in (shared.gamma_img, shared.delta_img) if img]
         moves += [tuple(-x for x in img) for img in moves]
         one_sided = ctx.flavor in (R.COSET, R.CONJUGACY)
         for v in vecs:
-            assert shared.pushed_class(SEP._vec_add(v, sep.moduli)) == got[v]
+            if sep.target_finite:
+                assert shared.pushed_class(SEP._vec_add(v, sep.moduli)) == got[v]
             for m in moves:
-                assert got[sep.reduce(SEP._vec_add(v, m))] == got[v]
+                assert shared.pushed_class(sep.reduce(SEP._vec_add(v, m))) == got[v]
             if one_sided:
-                assert got[sep.reduce(tuple(-x for x in v))] == got[v]
+                assert shared.pushed_class(sep.reduce(tuple(-x for x in v))) == got[v]
+
+
+@pytest.mark.parametrize("gamma, delta, vecs", [
+    ("x^5 y^3", "x^3 y^2", [(0, 40), (0, 20), (0, 0)]),
+], ids=["two_sided[x^5 y^3; x^3 y^2]"])
+def test_free_two_sided_keys_are_class_invariants(gamma, delta, vecs):
+    """Vectors in one class of the abelianization's two-sided target get one
+    key: here the side images span Z^2, so every vector is in one class."""
+    ctx = R.two_sided_ring(FREE2, S.parse_word(FREE2, gamma), S.parse_word(FREE2, delta))
+    pc = SEP.PushedContext.of(SEP.abelianization(FREE2), ctx)
+    assert len({pc.pushed_class(v) for v in vecs}) == 1
 
 
 @pytest.mark.parametrize("sep_name", SEPARATORS)
@@ -523,7 +534,18 @@ def test_offsets_hold_one_member_per_class(flavor):
         assert len(offsets) == len(coset) // len(coset[offsets[0]])
 
 
-def test_offsets_need_a_finite_target():
+def test_offsets_need_a_full_rank_lattice():
+    """offsets() needs only that the moduli and side images span a full-rank
+    lattice: a free target qualifies when its side images do."""
     from selflink import DimensionMismatch
-    with pytest.raises(DimensionMismatch):
-        SEP.PushedContext.of(SEP.abelianization(FREE2), R.plain_ring(FREE2)).offsets()
+    coset6 = R.coset_ring(AB1, S.parse_word(AB1, "x^6"))
+    assert (SEP.PushedContext.of(SEP.abelianization(AB1), coset6).offsets()
+            == [(a,) for a in range(6)])
+    coset_xy = R.coset_ring(FREE2, S.parse_word(FREE2, "x y"))
+    for ctx in (coset_xy, R.plain_ring(FREE2)):
+        with pytest.raises(DimensionMismatch):
+            SEP.PushedContext.of(SEP.abelianization(FREE2), ctx).offsets()
+    mod4 = SEP.cyclic_separator(FREE2, 4)
+    assert (SEP.PushedContext.of(mod4, R.plain_ring(FREE2)).offsets()
+            == list(itertools.product(range(4), repeat=2)))
+    assert SEP.PushedContext.of(mod4, coset_xy).offsets() == [(0, a) for a in range(4)]
