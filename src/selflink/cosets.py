@@ -507,6 +507,8 @@ def parse_ring(ctx: RingContext, text: str, strict_sign: bool = False) -> RingEl
     unsigned or coefficient-free terms like `2*[x]` and `[x]`; strict_sign
     requires every coefficient to be explicitly signed."""
     text = text.strip()
+    if not text:
+        raise ParseError("empty ring element (0 denotes zero)")
     if text == "0":
         return zero(ctx)
     pat = _TERM_RE if strict_sign else _TERM_RE_LENIENT
@@ -516,9 +518,7 @@ def parse_ring(ctx: RingContext, text: str, strict_sign: bool = False) -> RingEl
         consumed += len(re.sub(r"\s", "", m.group(0)))
         raw = m.group(1)
         coeff = int(raw) if raw.strip("+-") else int(raw + "1")
-        word = m.group(2).strip()
-        g = G.identity(ctx.spec) if word == "1" else G.parse_word(ctx.spec, word)
-        pairs.append((g, coeff))
+        pairs.append((G.parse_word(ctx.spec, m.group(2)), coeff))
     if consumed != len(re.sub(r"\s", "", text)):
         raise ParseError(f"cannot parse ring element {text!r}")
     return from_terms(ctx, pairs)

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import IdentityInput, SpecMismatch, UnknownGenerator
+from .errors import IdentityInput, ParseError, SpecMismatch, UnknownGenerator
 
 FREE = "free"
 FREE_ABELIAN = "free_abelian"
@@ -325,6 +325,8 @@ def shortlex_min(elems):
 
 
 def parse_word(spec: GroupSpec, text: str) -> GroupElement:
+    if not text.split():
+        raise ParseError("empty word (1 denotes the identity)")
     sylls = []
     for tok in text.split():
         if tok == "1":

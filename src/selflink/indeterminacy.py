@@ -24,10 +24,11 @@ pipeline for knots and links:
   * Unknown otherwise, reporting the bounds exhausted.
 
 In an abelian image the orbit of a value is a union of lattice cosets, one
-per outer shift.  One stage, _orbit_lattice, builds the lattice and scans
-the shifts: in the abelianization of an abelian group, where pushed classes
-are the ring's classes, it decides exactly, a hit becoming the Equal
-certificate; in a separator's image a miss is Distinct.
+per outer shift; _orbit_lattice builds the lattice and scans the shifts.
+One stage, _lattice_stage, runs it in each separator's image in turn, where
+a miss is Distinct.  In the abelianization of an abelian group, whose
+pushed classes are the ring's classes, it decides exactly wherever the key
+group is finite, a hit becoming the Equal certificate.
 
 An outer conjugator is a tuple: (alpha,) conjugates a knot value, (alpha,
 beta) biacts a link value.
@@ -353,40 +354,27 @@ def _orbit_lattice(phi, image, push, offsets, y1, y2):
 
 
 # ---------------------------------------------------------------------------
-# exact abelian decision
+# the lattice stage
 
 
-def _abelian_applicable(phi: PhiGroup) -> bool:
-    """The lattice decision is exact: the group is abelian, and every key
-    translation the action makes ranges over a finite key group.  Sphere
-    translates and a link's outer biaction range over G/<gamma[, delta]>,
-    which is finite in rank 1 when a side is nontrivial."""
+def _abelian_applicable(phi: PhiGroup, pc: S.PushedContext | None = None) -> bool:
+    """The abelianization's orbit lattice decides exactly: the group is
+    abelian, and every key translation ranges over a finite key group, as
+    nothing is enumerated or its L (pc, built when not given) has full rank."""
     ctx = phi.context
     if ctx.spec.kind != G.FREE_ABELIAN:
         return False
     if not _enumerates(phi):
         return True
-    return len(ctx.spec.labels) == 1 and any(
-        side is not None and not G.is_identity(side) for side in (ctx.gamma, ctx.delta))
+    return (pc or S.PushedContext.of(S.abelianization(ctx.spec), ctx)).finite
 
 
-def _decide_abelian(y1, y2, phi) -> DecisionResult:
-    """Total decision on abelian specs, in the abelianization G = Z^n: its
-    pushed classes are the classes of the ring, and the offsets, where
-    enumerated, are one per class of G modulo the side images.  The
-    size-reduced lattice coefficients become the exponents of the
-    certificate, one step per relation used; each relation's z is rebuilt
-    in the ring from its class vectors."""
-    ctx = phi.context
-    spec = ctx.spec
+def _abelian_certificate(phi, relations, hit) -> Certificate:
+    """The Equal certificate of an exact hit: one step per relation used,
+    its exponent the size-reduced lattice coefficient, its z rebuilt in the
+    ring from the relation's class vectors."""
+    spec = phi.context.spec
     one = G.identity(spec)
-    sep = S.abelianization(spec)
-    pc = S.PushedContext.of(sep, ctx)
-    offsets = pc.offsets() if _enumerates(phi) else [(0,) * sep.dim]
-    relations, hit = _orbit_lattice(phi, sep.image, pc.push, offsets, y1, y2)
-    if hit is None:
-        return DecisionResult("distinct", separator="abelian-lattice",
-                              values=(R.format_ring(y1), R.format_ring(y2)))
 
     def word(v):
         return G.make_element(spec, enumerate(v))
@@ -400,7 +388,7 @@ def _decide_abelian(y1, y2, phi) -> DecisionResult:
     for (rel, src, t), k in zip(relations, coeffs):
         if not k:
             continue
-        z = R.from_terms(ctx, [(word(v), a) for v, a in rel.items()])
+        z = R.from_terms(phi.context, [(word(v), a) for v, a in rel.items()])
         toroidal = isinstance(src, PhiGen)
         name = src.provenance if toroidal else f"spherical[{src.label}]"
         if link:
@@ -408,30 +396,34 @@ def _decide_abelian(y1, y2, phi) -> DecisionResult:
         elif not toroidal:
             name += f"@{G.format_word(word(t))}"
         steps.append((PhiGen(_outer(c_inv, z), (one,) * len(c), name), k))
-    return DecisionResult("equal", certificate=Certificate(tuple(steps), c))
+    return Certificate(tuple(steps), c)
 
 
-# ---------------------------------------------------------------------------
-# homomorphic separator check
-
-
-def _separator_distinct(y1, y2, phi) -> DecisionResult | None:
-    """Try the shipped abelian-quotient separators; sound but partial.
-
-    A separator's image of the orbit lattice is an invariant: y1 outside
-    the pushed orbit of y2 is Distinct.  Where offsets are enumerated (a
-    link's biaction, or sphere families), the finite targets run, one offset
-    per class.  Otherwise only the abelianization runs: a `modN` pushed
-    lattice holds the integral one reduced mod N, so it hits where Z does.
-    """
+def _lattice_stage(y1, y2, phi) -> DecisionResult | None:
+    """The suite's orbit lattices in order: a separator's miss is Distinct
+    and its hit abstains, but where `_abelian_applicable` the
+    abelianization decides exactly, a hit Equal and a miss the
+    `abelian-lattice` Distinct.  With offsets enumerated (a link's
+    biaction, or sphere families), the finite targets and the exact
+    abelianization run over one offset per key class; otherwise only the
+    abelianization runs, as a `modN` lattice hits where Z does."""
     ctx = phi.context
     enumerates = _enumerates(phi)
     for sep in S.default_separator_suite(ctx.spec):
-        if sep.target_finite != enumerates:
-            continue
+        if sep.target_finite and not enumerates:
+            break
         pc = S.PushedContext.of(sep, ctx)
+        exact = not sep.target_finite and _abelian_applicable(phi, pc)
+        if enumerates and not (sep.target_finite or exact):
+            continue
         offsets = pc.offsets() if enumerates else [(0,) * sep.dim]
-        if _orbit_lattice(phi, sep.image, pc.push, offsets, y1, y2)[1] is None:
+        relations, hit = _orbit_lattice(phi, sep.image, pc.push, offsets, y1, y2)
+        if exact and hit is not None:
+            return DecisionResult("equal", certificate=_abelian_certificate(phi, relations, hit))
+        if exact:
+            return DecisionResult("distinct", separator="abelian-lattice",
+                                  values=(R.format_ring(y1), R.format_ring(y2)))
+        if hit is None:
             return DecisionResult("distinct", separator=sep.name, values=tuple(
                 tuple(sorted(S.push_forward(sep, y).items())) for y in (y1, y2)))
     return None
@@ -614,14 +606,10 @@ def decide_equal(y1: R.RingElement, y2: R.RingElement,
     if y1 == y2:
         one = (G.identity(phi.context.spec),)
         return DecisionResult("equal", certificate=Certificate((), one * len(phi.zetas)))
-    if _abelian_applicable(phi):
-        res = _decide_abelian(y1, y2, phi)
-    else:
-        # true invariants first: they are independent of the search bounds,
-        # so a Distinct here can never conflict with an Equal at any depth
-        res = _separator_distinct(y1, y2, phi)
-        if res is not None:
-            return res
+    # true invariants first: they are independent of the search bounds, so
+    # a Distinct here can never conflict with an Equal at any depth
+    res = _lattice_stage(y1, y2, phi)
+    if res is None:
         if not phi.sided_spheres and is_spherical_presented(phi):
             # pure conjugation acts termwise by a key bijection
             m1, m2 = (tuple(sorted(abs(c) for _, c in y.terms)) for y in (y1, y2))

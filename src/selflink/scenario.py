@@ -52,11 +52,8 @@ def _pad_brackets(line: str) -> str:
 
 
 def _word(spec, tokens, line_no):
-    text = " ".join(tokens)
-    if text == "1":
-        return G.identity(spec)
     try:
-        return G.parse_word(spec, text)
+        return G.parse_word(spec, " ".join(tokens))
     except SelfLinkError as e:
         raise ParseError(str(e), line=line_no) from e
 
@@ -266,12 +263,8 @@ def _dispatch(scn: Scenario, tokens, line_no):
 # round-trip printing
 
 
-def _fmt_word(w: G.GroupElement) -> str:
-    return G.format_word(w) if not G.is_identity(w) else "1"
-
-
 def _fmt_points(points) -> str:
-    return " ".join(f"( {'+' if s > 0 else '-'} {_fmt_word(g)} )" for s, g in points)
+    return " ".join(f"( {'+' if s > 0 else '-'} {G.format_word(g)} )" for s, g in points)
 
 
 def _name_of(table, match, what, owner):
@@ -298,10 +291,10 @@ def print_scenario(scn: Scenario) -> str:
         else:
             out.append(f"group {kinds[spec.kind]} {' '.join(spec.labels)}")
     for name, k in scn.knots.items():
-        out.append(f"knot {name} = {_fmt_word(k.gamma)}")
+        out.append(f"knot {name} = {G.format_word(k.gamma)}")
     for name, t in scn.traces.items():
         line = (f"trace {name} : {t.knot_from.label} -> {t.knot_to.label} "
-                f"latitude {_fmt_word(t.latitude)}")
+                f"latitude {G.format_word(t.latitude)}")
         if t.points:
             line += f" points {_fmt_points(t.points)}"
         out.append(line)
@@ -397,13 +390,13 @@ def execute_query(scn: Scenario, tokens, bounds: I.Bounds, strict_sign: bool = F
 
     if cmd == "normalize":
         w = _word(spec, " ".join(args).split(), None)
-        rec["result"] = _fmt_word(w)
+        rec["result"] = G.format_word(w)
 
     elif cmd == "canon":
         k = _require(scn, scn.knots, args[0], "knot", None)
         ctx = R.coset_ring(spec, k.gamma)
         key = R.canonicalize(ctx, _word(spec, " ".join(args[1:]).split(), None))
-        rec["result"] = "0" if key is None else f"[{_fmt_word(key)}]"
+        rec["result"] = "0" if key is None else f"[{G.format_word(key)}]"
 
     elif cmd == "mu":
         t = _require(scn, scn.traces, args[0], "trace", None)

@@ -13,6 +13,7 @@ one offset per class (`PushedContext`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -53,11 +54,12 @@ def _insert(basis, row):
     entry, a unimodular 2 x 2 step puts their gcd in the pivot row and
     carries on with a row that is zero there.  A left-over row becomes a
     new pivot.  Returns True iff the lattice grew (row was not a member);
-    the entries above every pivot are then reduced into [0, pivot) again,
-    which keeps them from growing from one insertion to the next.
+    the entries above every pivot from row's lead on (earlier ones did not
+    change) are then reduced into [0, pivot) again, which keeps them from
+    growing from one insertion to the next.
     """
     grew = False
-    col = _lead(row)
+    col = lead = _lead(row)
     while col is not None:
         p = basis.get(col)
         if p is None:
@@ -76,7 +78,7 @@ def _insert(basis, row):
     if grew:
         cols = sorted(basis)
         for j, cj in enumerate(cols):
-            for ci in cols[:j]:
+            for ci in cols[:j] if cj >= lead else ():
                 q = basis[ci][cj] // basis[cj][cj]
                 if q:
                     basis[ci] = _sub(basis[ci], basis[cj], q)
@@ -214,10 +216,11 @@ def cyclic_separator(spec: G.GroupSpec, m: int) -> Separator:
     return Separator(f"mod{m}", spec, ab.images, (m,) * len(spec.labels))
 
 
-def default_separator_suite(spec: G.GroupSpec) -> list[Separator]:
+@functools.lru_cache(maxsize=64)
+def default_separator_suite(spec: G.GroupSpec) -> tuple[Separator, ...]:
     """Abelianization, then the coordinatewise cyclic reductions mod 2
-    through mod 12: the order in which the separator check tries them."""
-    return [abelianization(spec)] + [cyclic_separator(spec, m) for m in range(2, 13)]
+    through mod 12: the order in which the lattice stage tries them."""
+    return (abelianization(spec),) + tuple(cyclic_separator(spec, m) for m in range(2, 13))
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +270,16 @@ class PushedContext:
                 v = _sub(v, row, q)
         return tuple(v)
 
+    @property
+    def finite(self) -> bool:
+        """Whether L has full rank, so that the key group Z^n / L is finite."""
+        return len(self._rows) == self.sep.dim
+
     def offsets(self) -> list:
         """One target vector per coset of L, the trivial one first: a pushed
         class, and so every relation and shift, is the same at t and at
         t + gamma_img (+ delta_img).  L must have full rank."""
-        if len(self._rows) != self.sep.dim:
+        if not self.finite:
             raise DimensionMismatch("the moduli and side images do not span a full-rank lattice")
         return list(itertools.product(*(range(row[c]) for c, row in self._rows)))
 

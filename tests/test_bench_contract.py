@@ -3,7 +3,9 @@
 `bench/worker.py` and `bench/tracer.py` read names of selflink's modules
 (decision entry points, act functions, aliases).  A traced worker run over
 one scenario per family, for each workload, fails here when one of those
-names goes missing, instead of only in a benchmark run.
+names goes missing, instead of only in a benchmark run.  Each row's
+deciding stage, as `bench/worker.py` attributes it (through
+`_abelian_applicable`), is one its workload is built to exercise.
 """
 
 import pathlib
@@ -18,6 +20,10 @@ import run  # noqa: E402
 import selftest  # noqa: E402
 
 
+STAGES = {"orbit-search": {"search", "identical"},
+          "abelian-lattice": {"abelian-lattice", "identical"}}
+
+
 @pytest.mark.parametrize("workload", selftest.SEEDED)
 def test_traced_worker_runs_clean(workload):
     out = run.run_worker(selftest.small_job(workload, True))
@@ -25,4 +31,5 @@ def test_traced_worker_runs_clean(workload):
     for row in out["rows"]:
         assert row["error"] is None, row
         assert not row["mismatch"], row
+        assert row["stage"] in STAGES[workload], row
     assert out["layers"]

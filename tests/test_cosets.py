@@ -394,6 +394,19 @@ def test_parse_ring_strict_sign():
         R.parse_ring(ctx, "[x]", strict_sign=True)
 
 
+@pytest.mark.parametrize("text", ["", "   ", "[]", "+1*[ ]", "+1*[x] -2*[]"])
+@pytest.mark.parametrize("strict_sign", [False, True])
+def test_parse_ring_rejects_empty_text(text, strict_sign):
+    """Blank text and an empty class word are errors: `0` denotes zero and
+    `1` the identity."""
+    from selflink import ParseError
+    ctx = R.plain_ring(FREE2)
+    with pytest.raises(ParseError):
+        R.parse_ring(ctx, text, strict_sign=strict_sign)
+    assert R.parse_ring(ctx, "+1*[1]", strict_sign=strict_sign) == R.single(
+        ctx, S.identity(FREE2), 1) != R.zero(ctx)
+
+
 def test_format_is_sorted_and_signed():
     ctx = R.reduced_ring(FREE2)
     y = R.from_terms(ctx, [(S.parse_word(FREE2, "x y"), -1),

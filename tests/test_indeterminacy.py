@@ -683,7 +683,7 @@ def test_orbit_lattice_over_offsets_matches_all_target_elements(spec):
 @pytest.mark.parametrize("spec", [FREE2, FXZ, PROD, AB2],
                          ids=["free2", "free_times_z", "product", "ab2"])
 def test_modn_separators_hit_where_the_abelianization_hits(spec):
-    """A knot without spheres enumerates no offsets, and the separator check
+    """A knot without spheres enumerates no offsets, and the lattice stage
     runs only the abelianization: wherever its orbit lattice hits at offset
     0, every `modN` lattice hits too, so no `modN` separator could decide."""
     rng = random.Random(708)
@@ -804,3 +804,74 @@ def test_rank1_sphere_scenarios_decide_with_small_certificates(n):
         assert len({g.provenance for g, _ in steps}) == len(steps)
         assert all(e and len(str(abs(e))) <= 20 for _, e in steps)
         assert I.replay(res.certificate, y1, y2)
+
+
+# ---------------------------------------------------------------------------
+# the exact lattice stage wherever the key group is finite
+
+
+def test_rank2_links_decide_exactly_without_the_search(monkeypatch):
+    """Links in free_abelian(x, y) whose side images span a full-rank
+    lattice L, half of them with sphere families.  The key group Z^2 / L is
+    finite, so the lattice stage decides every query and the orbit search
+    never runs.  Each verdict matches the oracle over the definitional
+    relations, the translates of every toroidal z and sphere by every
+    element of Z^2 / L, at every outer shift; each Equal replays."""
+    def no_search(self, y1, y2):
+        raise AssertionError("the orbit search ran")
+    monkeypatch.setattr(I._OrbitSearch, "run", no_search)
+    rng = random.Random(709)
+    x, y = S.generator(AB2, "x"), S.generator(AB2, "y")
+    ab = SEP.abelianization(AB2)
+    verdicts = {"equal": 0, "distinct": 0}
+    cases = 0
+    while cases < 32:
+        phi = _random_presentation(rng, AB2, "link")
+        ctx = phi.context
+        (a, b), (c, d) = ab.image(ctx.gamma), ab.image(ctx.delta)
+        det = abs(a * d - b * c)
+        if not det or det > 12 or bool(phi.sided_spheres) != bool(cases % 2):
+            continue
+        cases += 1
+        # the box [0, det)^2 meets every class of Z^2 / L
+        reps = {}
+        for i, j in itertools.product(range(det), repeat=2):
+            w = S.multiply(S.power(x, i), S.power(y, j))
+            reps.setdefault(R.canonicalize(ctx, w), w)
+        assert len(reps) == det
+
+        def translate(t, v):
+            return R.from_terms(ctx, [(S.multiply(t, w), k) for w, k in v.terms])
+        zs = [g.z for g in phi.toroidal] + [R.from_terms(ctx, [(p, s) for s, p in sph.points])
+                                            for sph, _ in phi.sided_spheres]
+        rels = [dict(translate(t, z).terms) for t in reps.values() for z in zs]
+        for q in range(4):
+            y1, y2 = _random_pair(rng, phi)
+            if q % 2:   # one more class term, often outside the orbit
+                y1 = R.add(y1, R.single(ctx, random_word(rng, AB2, 3)))
+            res = I.decide_equal(y1, y2, phi)
+            want = any(_hnf_member(rels, dict(R.add(y1, R.negate(translate(t, y2))).terms))
+                       for t in reps.values())
+            assert res.verdict == ("equal" if want else "distinct")
+            if want:
+                assert I.replay(res.certificate, y1, y2)
+            else:
+                assert res.separator == "abelian-lattice"
+            verdicts[res.verdict] += 1
+    assert verdicts["equal"] >= 10 and verdicts["distinct"] >= 10
+
+
+def test_rank1_long_sphere_chain_decides_quickly():
+    """Knot x^1200 with the two-point sphere [1] + [x]: the orbit lattice
+    has one sphere relation per class, and the Hermite basis re-reduces
+    only the columns an insertion touches, so the decision stays fast."""
+    x = S.generator(AB1, "x")
+    k = L.Knot("k", S.power(x, 1200))
+    phi = I.build_phi(k, [L.Trace(k, k, (), x)],
+                      spheres=[L.SphereData("s", ((1, S.identity(AB1)), (1, x)))])
+    y1, y2 = R.parse_ring(phi.context, "+1*[x]"), R.zero(phi.context)
+    t0 = time.perf_counter()
+    res = I.decide_equal(y1, y2, phi)
+    assert time.perf_counter() - t0 < 3.0
+    assert res.verdict == "equal"
+    assert I.replay(res.certificate, y1, y2)
