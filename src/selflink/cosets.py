@@ -13,6 +13,9 @@ two-sided ring with gamma = delta = 1, the full integer group ring with
 one class per element, and ``reduced_ring`` is the coset ring with
 gamma = 1, whose classes are {g, g^-1} with the trivial class dropped.
 
+Only this module decodes a flavor: a context names its quotient by
+``sides`` and ``inverts``, and ``biact`` is the one termwise action.
+
 A class key is the shortlex-least element of its orbit, so class equality
 is word equality.  Elements serialize as signed integer-coefficient sums
 of class keys in shortlex order, e.g. ``+1*[x] -1*[x y]``.
@@ -42,18 +45,34 @@ _TERM_RE_LENIENT = re.compile(r"([+-]?\d*)\s*\*?\s*\[([^\]]*)\]")
 
 @dataclass(frozen=True)
 class RingContext:
+    """A class ring over spec, whose quotient `sides` and `inverts` name."""
     spec: G.GroupSpec = field(repr=False)
     flavor: str
     gamma: G.GroupElement | None = None
     delta: G.GroupElement | None = None
 
+    @property
+    def sides(self) -> tuple:
+        """The (left, right) side elements of a class: (gamma, gamma) for a
+        coset ring, (gamma, delta) two-sided, (None, None) for conjugacy."""
+        return self.gamma, (self.gamma if self.flavor == COSET else self.delta)
+
+    @property
+    def inverts(self) -> bool:
+        """Whether classes are taken modulo inversion, the trivial class
+        dropped: every flavor but two_sided."""
+        return self.flavor != TWO_SIDED
+
     @cached_property
     def _orbit_rule(self):
         """The map from a candidate list to the shortlex-least element of
-        its coset or two-sided orbit, chosen once per context by
+        its orbit: its conjugacy class when the context has no sides, else
+        its coset left^n c right^m, the rule chosen once per context by
         _choose_orbit_rule."""
-        right = self.gamma if self.flavor == COSET else self.delta
-        return _choose_orbit_rule(self.spec, self.gamma, right)
+        left, right = self.sides
+        if left is None:
+            return partial(_conjugacy_min, self.spec)
+        return _choose_orbit_rule(self.spec, left, right)
 
 
 def plain_ring(spec: G.GroupSpec) -> RingContext:
@@ -95,42 +114,29 @@ def _power_table(elem: G.GroupElement, bound: int):
 
 
 def _orbit_min(spec, candidates, left, right):
-    """Shortlex-least element of {left^n c right^m} by iterative tightening.
+    """Shortlex-least element of {left^n c right^m}: a greedy descent seeds
+    a near-minimal best, then one scan of |n| <= (|g| + |best|) // |left| + 3
+    and likewise m, g the longest candidate.
 
     This is the general fallback for the orbits that _choose_orbit_rule
     has no closed form for (free products, free abelian groups of rank at
     least 2, free x Z sides other than central powers, free-group sides
     that are not cyclically reduced) and the oracle the closed forms are
-    tested against.  The search bound per side is ceil((|g| + |best|)/|side|) + 2,
-    widened by the longer side's length for two-sided orbits whose sides
-    differ but commute with each other and with the candidates (t against
-    x t^7 and x t^9 in free x Z, z against z^7 and z^9 in a free product),
-    where the two translation directions can nearly cancel.
-    Validated against a brute-force BFS oracle in the test suite.
+    tested against.  Equal sides that commute with every candidate scan one
+    exponent twice as far (left^n c left^m = c left^(n+m)); distinct sides
+    that commute with each other and the candidates (t against x t^7 and
+    x t^9 in free x Z, z against z^7 and z^9 in a free product), whose powers
+    can nearly cancel, widen both windows by the longer side's length; equal
+    sides in free-type specs cap |n| + |m| jointly.  Validated against a
+    brute-force BFS oracle in the test suite.
     """
-    use_left = left is not None and not G.is_identity(left)
-    use_right = right is not None and not G.is_identity(right)
+    left = None if left is None or G.is_identity(left) else left
+    right = None if right is None or G.is_identity(right) else right
     best = G.shortlex_min(candidates)
-    if not (use_left or use_right):
+    if left is None and right is None:
         return best
-    glen = max(c.length() for c in candidates)
-    if (use_left and use_right and left == right
-            and all(G.commutes(left, c) for c in candidates)):
-        # left^n c right^m = c left^(n+m): a single exponent suffices
-        bound = (glen + best.length()) // left.length() + 3
-        table = _power_table(left, 2 * bound)
-        for c in candidates:
-            for j in range(-2 * bound, 2 * bound + 1):
-                cand = G.multiply(c, table[j])
-                if G.shortlex_key(cand) < G.shortlex_key(best):
-                    best = cand
-        return best
-    # greedy descent seeds a near-minimal best, shrinking the exact bounds
-    moves = []
-    if use_left:
-        moves += [(left, True), (G.invert(left), True)]
-    if use_right:
-        moves += [(right, False), (G.invert(right), False)]
+    moves = [(t, on_left) for side, on_left in ((left, True), (right, False))
+             if side is not None for t in (side, G.invert(side))]
     for c in candidates:
         cur, key_cur = c, G.shortlex_key(c)
         improved = True
@@ -143,40 +149,33 @@ def _orbit_min(spec, candidates, left, right):
                     cur, key_cur, improved = nxt, k, True
         if key_cur < G.shortlex_key(best):
             best = cur
-    # distinct sides that commute with each other and with the candidates:
-    # left^n c right^m = c left^n right^m, and the powers can nearly cancel
-    pad = 1
-    if (use_left and use_right and left != right and G.commutes(left, right)
-            and all(G.commutes(left, c) and G.commutes(right, c) for c in candidates)):
-        pad = max(1, left.length(), right.length())
-    seen_bounds = None
-    while True:
-        bl = ((glen + best.length()) // left.length() + 3) * pad if use_left else 0
-        br = ((glen + best.length()) // right.length() + 3) * pad if use_right else 0
-        if seen_bounds == (bl, br):
-            return best
-        seen_bounds = (bl, br)
-        lp = _power_table(left, bl) if use_left else {0: G.identity(spec)}
-        rp = _power_table(right, br) if use_right else {0: G.identity(spec)}
-        key_best = G.shortlex_key(best)
-        # in free-type specs the power blocks cannot annihilate each other
-        # through a candidate outside <gamma>, capping |n| + |m| jointly
-        combined = None
-        if (spec.kind in (G.FREE, G.FREE_PRODUCT) and use_left and use_right
-                and left == right):
-            combined = (glen + best.length()) // left.length() + 4
-        for n in range(-bl, bl + 1):
-            for c in candidates:
-                lc = G.multiply(lp[n], c)
-                for m in range(-br, br + 1):
-                    if combined is not None and abs(n) + abs(m) > combined:
-                        continue
-                    cand = G.multiply(lc, rp[m])
-                    if cand.length() > key_best[0]:
-                        continue
-                    k = G.shortlex_key(cand)
-                    if k < key_best:
-                        best, key_best = cand, k
+    span = max(c.length() for c in candidates) + best.length()
+    bl, br = ((span // s.length() + 3 if s is not None else 0) for s in (left, right))
+    combined = None
+    if left == right and all(G.commutes(left, c) for c in candidates):
+        bl, br = 0, 2 * br
+    elif (left is not None and right is not None and G.commutes(left, right)
+          and all(G.commutes(left, c) and G.commutes(right, c) for c in candidates)):
+        pad = max(left.length(), right.length())
+        bl, br = bl * pad, br * pad
+    elif left == right and spec.kind in (G.FREE, G.FREE_PRODUCT):
+        combined = span // left.length() + 4
+    lp = _power_table(left, bl) if left is not None else {0: G.identity(spec)}
+    rp = _power_table(right, br) if right is not None else {0: G.identity(spec)}
+    key_best = G.shortlex_key(best)
+    for n in range(-bl, bl + 1):
+        for c in candidates:
+            lc = G.multiply(lp[n], c)
+            for m in range(-br, br + 1):
+                if combined is not None and abs(n) + abs(m) > combined:
+                    continue
+                cand = G.multiply(lc, rp[m])
+                if cand.length() > key_best[0]:
+                    continue
+                k = G.shortlex_key(cand)
+                if k < key_best:
+                    best, key_best = cand, k
+    return best
 
 
 # Closed forms.  Free-group words are handled as tuples of shortlex codes
@@ -344,11 +343,11 @@ def _choose_orbit_rule(spec, left, right):
     return partial(_orbit_min, spec, left=left, right=right)
 
 
-def _conjugacy_min(spec, g):
-    """The conjugacy key of g: the least rotation of the words of the
-    cyclic cores of g and g^-1, renormalized."""
+def _conjugacy_min(spec, candidates):
+    """The least conjugate of the candidates: the least rotation of the
+    words of their cyclic cores, renormalized."""
     best = None
-    for cand in (g, G.invert(g)):
+    for cand in candidates:
         w = G.cyclic_core(cand).codes
         for r in range(len(w)):
             rot = G.make_element(spec, G._code_syllables(w[r:] + w[:r]))
@@ -367,12 +366,10 @@ def canonicalize(ctx: RingContext, g: G.GroupElement) -> G.GroupElement | None:
 
 @lru_cache(maxsize=1 << 18)
 def _canonicalize_cached(ctx: RingContext, g: G.GroupElement) -> G.GroupElement | None:
-    if ctx.flavor == TWO_SIDED:
+    if not ctx.inverts:
         return ctx._orbit_rule([g])
     if G.is_identity(g):
         return None
-    if ctx.flavor == CONJUGACY:
-        return _conjugacy_min(ctx.spec, g)
     rep = ctx._orbit_rule([g, G.invert(g)])
     return None if G.is_identity(rep) else rep
 
@@ -453,31 +450,25 @@ def scale(n: int, a: RingElement) -> RingElement:
 
 
 def conj_act(phi: G.GroupElement, y: RingElement) -> RingElement:
-    """Termwise conjugation y -> phi y phi^-1.
-
-    For coset contexts phi must centralize gamma, else the result would
-    land in a different context; on a two-sided context it is
-    biact(phi, phi, y).
-    """
-    ctx = y.context
-    if ctx.flavor == TWO_SIDED:
-        return biact(phi, phi, y)
-    if phi.spec != ctx.spec:
-        raise SpecMismatch("conjugator belongs to a different spec")
-    if ctx.flavor == COSET and not G.commutes(phi, ctx.gamma):
-        raise NotInCentralizer(f"{G.format_word(phi)} does not centralize {G.format_word(ctx.gamma)}")
-    return from_terms(ctx, [(G.conjugate(k, phi), c) for k, c in y.terms])
+    """Termwise conjugation y -> phi y phi^-1: biact(phi, phi, y)."""
+    return biact(phi, phi, y)
 
 
 def biact(phi: G.GroupElement, psi: G.GroupElement, y: RingElement) -> RingElement:
-    """Termwise two-sided action y -> phi y psi^-1 on a two_sided context."""
+    """Termwise action y -> phi y psi^-1, on every flavor.
+
+    phi must centralize the left side and psi the right, else the result
+    would land in a different context.  On a ring taken modulo inversion
+    the action must be a conjugation, psi = phi: only then is the image
+    of g^-1 the inverse of the image of g.
+    """
     ctx = y.context
-    if ctx.flavor != TWO_SIDED:
-        raise SpecMismatch("biact needs a two-sided context")
     if phi.spec != ctx.spec or psi.spec != ctx.spec:
         raise SpecMismatch("actor belongs to a different spec")
-    for actor, side in ((phi, ctx.gamma), (psi, ctx.delta)):
-        if not G.commutes(actor, side):
+    if ctx.inverts and psi != phi:
+        raise SpecMismatch("a ring taken modulo inversion is acted on by conjugation only")
+    for actor, side in dict.fromkeys(zip((phi, psi), ctx.sides)):
+        if side is not None and not G.commutes(actor, side):
             raise NotInCentralizer(f"{G.format_word(actor)} does not centralize {G.format_word(side)}")
     psi_inv = G.invert(psi)
     return from_terms(ctx, [(G.multiply(G.multiply(phi, k), psi_inv), c)

@@ -204,10 +204,11 @@ def _step(gen, k: int, y: R.RingElement) -> R.RingElement:
 
 
 def _outer(c: tuple, y: R.RingElement) -> R.RingElement:
-    """The outer conjugator c on y: (alpha,) conjugates, (alpha, beta) biacts."""
+    """The outer conjugator c on y, y -> c[0] y c[-1]^-1: (alpha,)
+    conjugates a knot value, (alpha, beta) biacts a link value."""
     if all(G.is_identity(a) for a in c):
         return y
-    return R.biact(c[0], c[1], y) if len(c) == 2 else R.conj_act(c[0], y)
+    return R.biact(c[0], c[-1], y)
 
 
 def is_spherical_presented(phi: PhiGroup) -> bool:
@@ -366,7 +367,7 @@ def _abelian_applicable(phi: PhiGroup, pc: S.PushedContext | None = None) -> boo
         return False
     if not _enumerates(phi):
         return True
-    return (pc or S.PushedContext.of(S.abelianization(ctx.spec), ctx)).finite
+    return (pc or S.PushedContext(S.abelianization(ctx.spec), ctx)).finite
 
 
 def _abelian_certificate(phi, relations, hit) -> Certificate:
@@ -412,7 +413,7 @@ def _lattice_stage(y1, y2, phi) -> DecisionResult | None:
     for sep in S.default_separator_suite(ctx.spec):
         if sep.target_finite and not enumerates:
             break
-        pc = S.PushedContext.of(sep, ctx)
+        pc = S.PushedContext(sep, ctx)
         exact = not sep.target_finite and _abelian_applicable(phi, pc)
         if enumerates and not (sep.target_finite or exact):
             continue
@@ -493,12 +494,11 @@ class _OrbitSearch:
                     seen.add(z)
                     static.append(_translate_gen(phi, z, sph, t))
         self.static_gens = static
-        # goal translates are padded by the class word on the sphere's side;
-        # keys of the one-sided rings are classes modulo inversion
+        # goal translates are padded by the class word on the sphere's side
         self.pads = {right: [G.identity(spec)] + (
             [side, G.invert(side)] if side is not None and not G.is_identity(side) else [])
-            for right, side in ((False, ctx.gamma), (True, ctx.delta))}
-        self.inverts = ctx.flavor == R.COSET
+            for right, side in zip((False, True), ctx.sides)}
+        self.inverts = ctx.inverts
 
     def _goal_gens(self, y: R.RingElement):
         """Sphere translates aligned with the support of y."""
@@ -611,8 +611,9 @@ def decide_equal(y1: R.RingElement, y2: R.RingElement,
     res = _lattice_stage(y1, y2, phi)
     if res is None:
         if not phi.sided_spheres and is_spherical_presented(phi):
-            # pure conjugation acts termwise by a key bijection
-            m1, m2 = (tuple(sorted(abs(c) for _, c in y.terms)) for y in (y1, y2))
+            # pure conjugation acts termwise by a key bijection that keeps
+            # every coefficient, sign included
+            m1, m2 = (tuple(sorted(c for _, c in y.terms)) for y in (y1, y2))
             if m1 != m2:
                 return DecisionResult("distinct", separator="support-multiset",
                                       values=(m1, m2))

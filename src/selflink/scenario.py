@@ -152,6 +152,9 @@ def _dispatch(scn: Scenario, tokens, line_no):
             while i < len(tokens):
                 if tokens[i] != "[":
                     raise ParseError("product factors use [ kind labels... ]", line=line_no)
+                if "]" not in tokens[i:]:
+                    raise ParseError(f"unterminated product factor {' '.join(tokens[i:])!r}",
+                                     line=line_no)
                 j = tokens.index("]", i)
                 fk = tokens[i + 1]
                 if fk not in _KINDS:

@@ -6,9 +6,10 @@ rings map to exactly canonicalized classes of the target, and membership
 questions in the pushed relation lattice are decided by a row Hermite
 normal form over arbitrary-precision integers, which also yields small
 integer combinations (`lattice_solve`, `lattice_member`).  The same
-Hermite basis, of the lattice that the moduli and the side images span,
-keys every pushed class by its reduction, and where it has full rank gives
-one offset per class (`PushedContext`).
+Hermite basis, of the lattice that the moduli and the images of the ring
+context's `sides` span, keys every pushed class by its reduction (`_reduce`,
+zero exactly on the lattice), and where it has full rank gives one offset
+per class (`PushedContext`).
 """
 
 from __future__ import annotations
@@ -36,6 +37,17 @@ def _lead(row):
 def _sub(row, pivot_row, q):
     """row - q * pivot_row."""
     return [a - q * b for a, b in zip(row, pivot_row)]
+
+
+def _reduce(rows, vec) -> tuple:
+    """The member of vec + L whose pivot entries lie in [0, pivot), for the
+    Hermite basis rows of L as (pivot column, row) pairs in column order;
+    it is zero exactly when vec is in L."""
+    v = list(vec)
+    for c, row in rows:
+        if q := v[c] // row[c]:
+            v = _sub(v, row, q)
+    return tuple(v)
 
 
 def _xgcd(a, b):
@@ -123,7 +135,7 @@ def lattice_solve(A, v):
         return [0] * cols
     basis = {}
     kept = [j for j, g in enumerate(zip(*A)) if _insert(basis, list(g))]
-    if _insert(dict(basis), list(v)):
+    if any(_reduce(sorted(basis.items()), v)):
         return None
     H, U = hermite_form([[row[j] for row in A] for j in kept])
     rank = sum(1 for h in H if any(h))
@@ -234,41 +246,24 @@ def _vec_add(a, b, scale=1):
 @dataclass(frozen=True)
 class PushedContext:
     """Image of a ring context under a separator; canonicalizes pushed
-    classes exactly.  The class of w is w + L (+-w + L one-sided), L spanned
-    by the moduli (none on a free target) and the side images the flavor
-    quotients by: gamma (coset), gamma and delta (two-sided), none
-    (conjugacy).  Its key is the Hermite reduction r(w) modulo L, the
-    canonical member of w + L, or the lesser of r(w) and r(-w); on a finite
-    target r(w) is the lex-least member of w + L in the reduced box."""
+    classes exactly.  The class of w is w + L, or +-w + L where the context
+    inverts, L spanned by the moduli (none on a free target) and the images
+    of the context's sides (none for conjugacy).  Its key is the Hermite
+    reduction r(w) modulo L, the canonical member of w + L, or the lesser of
+    r(w) and r(-w); on a finite target r(w) is the lex-least member of
+    w + L in the reduced box."""
     sep: Separator
-    flavor: str
-    gamma_img: tuple | None = None
-    delta_img: tuple | None = None
+    ctx: R.RingContext = field(repr=False)
     _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sides = {R.COSET: (self.gamma_img,),
-                 R.TWO_SIDED: (self.gamma_img, self.delta_img)}.get(self.flavor, ())
+        sides = [self.sep.image(s) for s in dict.fromkeys(self.ctx.sides) if s is not None]
         n = self.sep.dim
         basis = {}
         for row in [[m * (i == j) for j in range(n)]
                     for i, m in enumerate(self.sep.moduli)] + [list(s) for s in sides]:
             _insert(basis, row)
         object.__setattr__(self, "_rows", tuple(sorted(basis.items())))
-
-    @classmethod
-    def of(cls, sep: Separator, ctx: R.RingContext):
-        gi = sep.image(ctx.gamma) if ctx.gamma is not None else None
-        di = sep.image(ctx.delta) if ctx.delta is not None else None
-        return cls(sep, ctx.flavor, gi, di)
-
-    def _reduce(self, vec) -> tuple:
-        """The member of vec + L whose pivot entries lie in [0, pivot)."""
-        v = list(vec)
-        for c, row in self._rows:
-            if q := v[c] // row[c]:
-                v = _sub(v, row, q)
-        return tuple(v)
 
     @property
     def finite(self) -> bool:
@@ -278,17 +273,17 @@ class PushedContext:
     def offsets(self) -> list:
         """One target vector per coset of L, the trivial one first: a pushed
         class, and so every relation and shift, is the same at t and at
-        t + gamma_img (+ delta_img).  L must have full rank."""
+        t plus the image of a side.  L must have full rank."""
         if not self.finite:
             raise DimensionMismatch("the moduli and side images do not span a full-rank lattice")
         return list(itertools.product(*(range(row[c]) for c, row in self._rows)))
 
     def pushed_class(self, vec) -> tuple | None:
         """Canonical pushed class of a target vector, None for killed ones."""
-        key = self._reduce(vec)
-        if self.flavor == R.TWO_SIDED:
+        key = _reduce(self._rows, vec)
+        if not self.ctx.inverts:
             return key
-        key = min(key, self._reduce(-x for x in vec))
+        key = min(key, _reduce(self._rows, (-x for x in vec)))
         return key if any(key) else None
 
     def push(self, terms, shift) -> dict:
@@ -305,4 +300,4 @@ class PushedContext:
 def push_forward(sep: Separator, y: R.RingElement) -> dict:
     """Vector of y over pushed coset classes of the separator target."""
     terms = [(sep.image(g), c) for g, c in y.terms]
-    return PushedContext.of(sep, y.context).push(terms, (0,) * sep.dim)
+    return PushedContext(sep, y.context).push(terms, (0,) * sep.dim)

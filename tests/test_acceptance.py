@@ -22,8 +22,8 @@ def _recheck_distinct(res, y1, y2, spec):
     if name is None:
         return True
     if name == "support-multiset":
-        m1 = sorted(abs(c) for _, c in y1.terms)
-        m2 = sorted(abs(c) for _, c in y2.terms)
+        m1 = sorted(c for _, c in y1.terms)
+        m2 = sorted(c for _, c in y2.terms)
         return m1 != m2
     by_name = {s.name: s for s in SEP.default_separator_suite(spec)}
     if name in by_name:

@@ -161,12 +161,15 @@ def test_parse_error_is_an_error(tmp_path):
     ("group free x y\nknot k =\n", ["run", "FILE"], "line 2: empty word"),
     ("group free x y\nknot k = x\ntrace h : k -> k latitude points ( + x )\n",
      ["run", "FILE"], "line 3: empty word"),
+    ("group product [ free x\n", ["normalize", "FILE", "x"],
+     "line 1: unterminated product factor '[ free x'"),
 ], ids=["decide-one-element", "canon-no-knot", "lambda-no-argument",
         "stored-query-too-short", "phi-without-knot", "philink-without-knots",
         "run-without-file", "normalize-without-group",
         "stored-query-without-group", "knot-without-word",
         "phi-without-arguments", "not-utf8", "blank-ring-element",
-        "empty-class-word", "knot-with-empty-word", "latitude-without-word"])
+        "empty-class-word", "knot-with-empty-word", "latitude-without-word",
+        "unterminated-product-factor"])
 def test_malformed_input_is_an_error(text, argv, message, tmp_path, capsys):
     p = tmp_path / "case.scn"
     if isinstance(text, bytes):

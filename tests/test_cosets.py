@@ -9,7 +9,7 @@ import pytest
 
 import selflink as S
 import selflink.cosets as R
-from conftest import AB1, FREE2, FXZ, PROD, random_ring_element, random_word
+from conftest import AB1, AB2, FREE2, FXZ, PROD, random_ring_element, random_word
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +133,12 @@ def _oracle_contexts():
                          S.parse_word(FXZ, "x t^9")),
         R.two_sided_ring(PROD, S.parse_word(PROD, "z^7"),
                          S.parse_word(PROD, "z^9")),
+        # commuting sides in the fallback search: equal sides that commute
+        # with every candidate scan a single exponent, distinct ones a
+        # widened window
+        R.coset_ring(AB2, S.parse_word(AB2, "x^2 y")),
+        R.two_sided_ring(AB2, S.parse_word(AB2, "x^2"), S.parse_word(AB2, "x y^3")),
+        R.coset_ring(PROD, S.parse_word(PROD, "z^3")),
     ]
 
 
@@ -147,7 +153,7 @@ def test_canonicalize_exhaustive_oracle_short_words():
 def test_canonicalize_randomized_oracle_length_8():
     rng = random.Random(411)
     counts = [1000, 1000, 3000, 2000, 800, 2000, 600, 500, 500, 400, 400, 400,
-              200, 60, 150]
+              200, 60, 150, 300, 200, 300]
     contexts = _oracle_contexts()
     assert len(counts) == len(contexts)
     total = 0
@@ -239,8 +245,9 @@ def test_large_exponents_canonicalize_quickly(spec, gamma, word, want):
 def test_canonicalize_local_move_invariance():
     rng = random.Random(412)
     contexts = _oracle_contexts()
-    # the last two contexts go through the widened fallback search
-    counts = [200] * (len(contexts) - 2) + [100, 100]
+    # the last five contexts go through the fallback search, the two
+    # widened ones the costliest
+    counts = [200] * (len(contexts) - 5) + [100, 100, 200, 100, 60]
     for ctx, n in zip(contexts, counts):
         for _ in range(n):
             w = random_word(rng, ctx.spec, 8)
@@ -328,13 +335,38 @@ def test_conj_act_is_additive_action(rng):
 
 
 def test_conj_act_on_plain_ring_is_biact(rng):
-    ctx = R.plain_ring(FREE2)
-    for _ in range(100):
-        a = random_ring_element(rng, ctx, 3, 4)
-        phi = random_word(rng, FREE2, 3)
-        assert R.conj_act(phi, a) == R.biact(phi, phi, a)
-        assert R.conj_act(phi, a) == R.from_terms(
-            ctx, [(S.conjugate(k, phi), c) for k, c in a.terms])
+    """On every ring conj_act is biact(phi, phi, .), termwise conjugation;
+    a ring taken modulo inversion admits no biaction with psi != phi, and
+    each actor must centralize its side."""
+    from selflink import NotInCentralizer, SpecMismatch
+    x = S.parse_word(FREE2, "x")
+    rings = [(R.plain_ring(FREE2), None), (R.reduced_ring(FREE2), None),
+             (R.conjugacy_ring(FREE2), None),
+             (R.coset_ring(FREE2, S.parse_word(FREE2, "x y")), S.parse_word(FREE2, "x y")),
+             (R.two_sided_ring(FREE2, S.parse_word(FREE2, "x^2"), S.parse_word(FREE2, "x^3")), x)]
+    for ctx, root in rings:
+        for _ in range(60):
+            a = random_ring_element(rng, ctx, 3, 4)
+            if root is None:
+                phi = random_word(rng, FREE2, 3)
+            else:
+                phi = S.power(root, rng.randint(-3, 3))
+            assert R.conj_act(phi, a) == R.biact(phi, phi, a)
+            assert R.conj_act(phi, a) == R.from_terms(
+                ctx, [(S.conjugate(k, phi), c) for k, c in a.terms])
+            psi = S.multiply(phi, root or x)
+            if ctx.flavor == R.TWO_SIDED:
+                assert R.biact(phi, psi, a) == R.from_terms(
+                    ctx, [(S.multiply(S.multiply(phi, k), S.invert(psi)), c) for k, c in a.terms])
+            else:
+                with pytest.raises(SpecMismatch):
+                    R.biact(phi, psi, a)
+    y = S.parse_word(FREE2, "y")
+    for ctx, _ in rings[3:]:
+        with pytest.raises(NotInCentralizer):
+            R.conj_act(y, R.single(ctx, x))
+    with pytest.raises(NotInCentralizer):
+        R.biact(x, y, R.single(rings[4][0], x))
 
 
 def test_biact_composes(rng):

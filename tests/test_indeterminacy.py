@@ -455,6 +455,69 @@ def test_distinct_separator_recomputes():
         assert SEP.push_forward(sep, y1) != SEP.push_forward(sep, y2)
 
 
+def test_sign_flip_is_a_support_multiset_distinct():
+    """Pure conjugation keeps every coefficient, sign included, so negating
+    a value whose signed coefficients are not symmetric leaves its orbit:
+    fz_nonspherical's P0 decides it at once, where the abelianization hits
+    and the search would exhaust its depth."""
+    from importlib import resources
+    from selflink.scenario import parse_scenario
+    text = resources.files("selflink").joinpath("scenarios/fz_nonspherical.scn").read_text()
+    phi = parse_scenario(text).phis["P0"]
+    y1 = R.parse_ring(phi.context, "+2*[x] -1*[y x y^-1] -1*[z x z^-1]")
+    t0 = time.perf_counter()
+    res = I.decide_equal(y1, R.negate(y1), phi)
+    assert time.perf_counter() - t0 < 1.0
+    assert (res.verdict, res.separator) == ("distinct", "support-multiset")
+    assert res.values == ((-1, -1, 2), (-2, 1, 1))
+
+
+# knots and links whose centralizers move classes: proper powers, and
+# central classes of free x Z, whose centralizer is the whole group
+_CONJUGATION_KNOTS = {
+    "free2": (FREE2, ["x y x y", "x^2", "x^2 y x^2 y"], [("x^2", "y^2"), ("x y x y", "x^3")]),
+    "free_times_z": (FXZ, ["t", "t^2", "x y x y t"], [("x^2 t", "y^2"), ("x y x y t", "y^3")]),
+    "product": (PROD, ["z^2", "x y x y", "z^3"], [("z^2", "x y x y"), ("z^2", "x^2")]),
+}
+
+
+def _pure_conjugation_presentation(rng, spec, knots, links, link):
+    """phi_conjugation_only of a knot, or a link whose traces have no double
+    points: every generator is (0, parts)."""
+    if not link:
+        return I.phi_conjugation_only(L.Knot("k", S.parse_word(spec, rng.choice(knots))))
+    k1, k2 = (L.Knot(f"k{i}", S.parse_word(spec, w)) for i, w in enumerate(rng.choice(links)))
+    one = S.identity(spec)
+    t1 = [L.LinkTrace(L.Trace(k1, k1, (), z), L.Trace(k2, k2, (), one), ())
+          for z in S.centralizer_generators(spec, k1.gamma)]
+    t2 = [L.LinkTrace(L.Trace(k1, k1, (), one), L.Trace(k2, k2, (), z), ())
+          for z in S.centralizer_generators(spec, k2.gamma)]
+    return I.build_phi_link(k1, k2, t1, t2)
+
+
+@pytest.mark.parametrize("family", _CONJUGATION_KNOTS)
+def test_signed_multisets_agree_on_search_equal_pairs(family):
+    """On seeded pure-conjugation presentations, a pair that the search
+    certifies Equal has equal signed coefficient multisets: the
+    support-multiset Distinct never contradicts the search."""
+    spec, knots, links = _CONJUGATION_KNOTS[family]
+    rng = random.Random(1515)
+    bounds = I.Bounds(depth=2, max_states=2000)
+    moved = 0
+    for i in range(16):
+        phi = _pure_conjugation_presentation(rng, spec, knots, links, link=i % 2 == 1)
+        assert I.is_spherical_presented(phi) and not phi.sided_spheres
+        y2 = R.from_terms(phi.context, [(random_word(rng, spec, 3), rng.choice((-2, -1, 1, 2)))
+                                        for _ in range(rng.randint(2, 3))])
+        y1 = I._step(rng.choice(phi.toroidal), rng.choice((1, -1)), y2)
+        cert = I._OrbitSearch(phi, bounds).run(y1, y2)
+        assert cert is not None and I.replay(cert, y1, y2)
+        assert sorted(c for _, c in y1.terms) == sorted(c for _, c in y2.terms)
+        assert I.decide_equal(y1, y2, phi, bounds).verdict == "equal"
+        moved += y1 != y2
+    assert moved >= 12
+
+
 def test_replay_rejects_wrong_certificate():
     gamma = S.parse_word(FREE2, "x y")
     k = L.Knot("k", gamma)
@@ -670,7 +733,7 @@ def test_orbit_lattice_over_offsets_matches_all_target_elements(spec):
         y1, y2 = _random_pair(rng, phi)
         for m in moduli:
             sep = SEP.cyclic_separator(spec, m)
-            pc = SEP.PushedContext.of(sep, phi.context)
+            pc = SEP.PushedContext(sep, phi.context)
             every = list(itertools.product(range(m), repeat=sep.dim))
             hit = I._orbit_lattice(phi, sep.image, pc.push, every, y1, y2)[1] is not None
             assert (I._orbit_lattice(phi, sep.image, pc.push, pc.offsets(), y1, y2)[1]
@@ -692,7 +755,7 @@ def test_modn_separators_hit_where_the_abelianization_hits(spec):
         phi = _random_presentation(rng, spec, "knot")
         y1, y2 = _random_pair(rng, phi)
         suite = SEP.default_separator_suite(spec)
-        found = [I._orbit_lattice(phi, sep.image, SEP.PushedContext.of(sep, phi.context).push,
+        found = [I._orbit_lattice(phi, sep.image, SEP.PushedContext(sep, phi.context).push,
                                   [(0,) * sep.dim], y1, y2)[1] is not None for sep in suite]
         if found[0]:
             hits += 1
@@ -781,7 +844,7 @@ def test_rank1_sphere_scenarios_decide_with_small_certificates(n):
         for t in range(n)]
 
     sep = SEP.abelianization(AB1)
-    pc = SEP.PushedContext.of(sep, ctx)
+    pc = SEP.PushedContext(sep, ctx)
     zero = R.zero(ctx)
     n_gens = len(I._orbit_lattice(phi, sep.image, pc.push, pc.offsets(), zero, zero)[0])
     # the helper's relations are the distinct non-zero definitional ones

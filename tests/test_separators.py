@@ -290,7 +290,7 @@ def test_abelianization_is_homomorphism(rng):
 def test_cyclic_separator_reduces_mod_m(rng):
     sep = SEP.cyclic_separator(FREE2, 5)
     assert sep.target_finite
-    assert len(SEP.PushedContext.of(sep, R.plain_ring(FREE2)).offsets()) == 25
+    assert len(SEP.PushedContext(sep, R.plain_ring(FREE2)).offsets()) == 25
     for _ in range(300):
         a = random_word(rng, FREE2, 6)
         ab = SEP.abelianization(FREE2).image(a)
@@ -317,7 +317,7 @@ def test_pushed_class_respects_ring_relations(rng):
     ]
     for ctx in contexts:
         for sep in [SEP.abelianization(ctx.spec), SEP.cyclic_separator(ctx.spec, 4)]:
-            pc = SEP.PushedContext.of(sep, ctx)
+            pc = SEP.PushedContext(sep, ctx)
             for _ in range(150):
                 w = random_word(rng, ctx.spec, 6)
                 key = R.canonicalize(ctx, w)
@@ -350,7 +350,7 @@ def _query_vectors(rng, sep):
     """Every target vector of a finite target (the offsets of its plain
     ring), else a box sample with repeats; shuffled."""
     if sep.target_finite:
-        vecs = SEP.PushedContext.of(sep, R.plain_ring(sep.source)).offsets()
+        vecs = SEP.PushedContext(sep, R.plain_ring(sep.source)).offsets()
     else:
         vecs = [tuple(rng.randint(-3, 3) for _ in range(sep.dim)) for _ in range(60)]
         vecs += vecs[:20]
@@ -371,12 +371,12 @@ def test_pushed_class_table_matches_fresh_contexts(spec, words, sep_name):
     rng = random.Random(602)
     sep = SEPARATORS[sep_name](spec)
     for ctx in _all_flavors(spec, *words):
-        shared = SEP.PushedContext.of(sep, ctx)
+        shared = SEP.PushedContext(sep, ctx)
         vecs = _query_vectors(rng, sep)
         got = {v: shared.pushed_class(v) for v in vecs}
         for v in vecs:
-            assert got[v] == SEP.PushedContext.of(sep, ctx).pushed_class(v)
-        moves = [img for img in (shared.gamma_img, shared.delta_img) if img]
+            assert got[v] == SEP.PushedContext(sep, ctx).pushed_class(v)
+        moves = [sep.image(side) for side in (ctx.gamma, ctx.delta) if side is not None]
         moves += [tuple(-x for x in img) for img in moves]
         one_sided = ctx.flavor in (R.COSET, R.CONJUGACY)
         for v in vecs:
@@ -395,7 +395,7 @@ def test_free_two_sided_keys_are_class_invariants(gamma, delta, vecs):
     """Vectors in one class of the abelianization's two-sided target get one
     key: here the side images span Z^2, so every vector is in one class."""
     ctx = R.two_sided_ring(FREE2, S.parse_word(FREE2, gamma), S.parse_word(FREE2, delta))
-    pc = SEP.PushedContext.of(SEP.abelianization(FREE2), ctx)
+    pc = SEP.PushedContext(SEP.abelianization(FREE2), ctx)
     assert len({pc.pushed_class(v) for v in vecs}) == 1
 
 
@@ -412,13 +412,13 @@ def test_pushed_class_tables_are_per_context(sep_name):
          R.two_sided_ring(FREE2, S.parse_word(FREE2, "x^2"), S.parse_word(FREE2, "y"))),
     ]
     for ctx_a, ctx_b in pairs:
-        a, b = SEP.PushedContext.of(sep, ctx_a), SEP.PushedContext.of(sep, ctx_b)
-        assert a.gamma_img != b.gamma_img
+        a, b = SEP.PushedContext(sep, ctx_a), SEP.PushedContext(sep, ctx_b)
+        assert sep.image(ctx_a.gamma) != sep.image(ctx_b.gamma)
         vecs = _query_vectors(rng, sep)
         got_a = {v: a.pushed_class(v) for v in vecs}
         got_b = {v: b.pushed_class(v) for v in vecs}
         for v in vecs:
-            assert got_b[v] == SEP.PushedContext.of(sep, ctx_b).pushed_class(v)
+            assert got_b[v] == SEP.PushedContext(sep, ctx_b).pushed_class(v)
         assert any(got_a[v] != got_b[v] for v in vecs)
 
 
@@ -457,29 +457,27 @@ def test_separator_validation():
 
 def _random_finite_context(rng, flavor):
     """A PushedContext on a random finite target of dimension 1 to 3, moduli
-    2 to 12, with random side images; "plain" and "reduced" are the
-    trivial-side two-sided and coset contexts."""
+    2 to 12, of a ring context whose side words x^a y^b z^c have random
+    images; "plain" and "reduced" are the trivial-side two-sided and coset
+    contexts."""
     dim = rng.randint(1, 3)
     spec = S.free(*"xyz"[:dim])
     moduli = tuple(rng.randint(2, 12) for _ in range(dim))
     sep = SEP.Separator("t", spec, SEP.abelianization(spec).images, moduli)
-
-    def side(trivial=False):
-        return tuple(0 if trivial else rng.randrange(m) for m in moduli)
-    sides = {"plain": (R.TWO_SIDED, side(True), side(True)),
-             "reduced": (R.COSET, side(True), None),
-             R.CONJUGACY: (R.CONJUGACY, None, None),
-             R.COSET: (R.COSET, side(), None),
-             R.TWO_SIDED: (R.TWO_SIDED, side(), side())}[flavor]
-    return SEP.PushedContext(sep, *sides)
+    gamma, left, right = (S.make_element(spec, [(i, rng.randrange(m)) for i, m in enumerate(moduli)])
+                          for _ in range(3))
+    ctx = {"plain": R.plain_ring(spec), "reduced": R.reduced_ring(spec),
+           R.CONJUGACY: R.conjugacy_ring(spec), R.COSET: R.coset_ring(spec, gamma),
+           R.TWO_SIDED: R.two_sided_ring(spec, left, right)}[flavor]
+    return SEP.PushedContext(sep, ctx)
 
 
 def _side_cosets(pc):
     """Every target vector and its coset of the subgroup that the flavor's
     side images generate, by a breadth-first closure over the target."""
-    moduli = pc.sep.moduli
-    gens = [] if pc.flavor == R.CONJUGACY else [pc.gamma_img]
-    gens += [pc.delta_img] if pc.flavor == R.TWO_SIDED else []
+    moduli, ctx = pc.sep.moduli, pc.ctx
+    sides = {R.CONJUGACY: [], R.COSET: [ctx.gamma], R.TWO_SIDED: [ctx.gamma, ctx.delta]}
+    gens = [pc.sep.image(side) for side in sides[ctx.flavor]]
     coset = {}
     for v in itertools.product(*(range(m) for m in moduli)):
         if v in coset:
@@ -513,9 +511,9 @@ def test_finite_keys_are_lex_least_orbit_members(flavor):
         zero = (0,) * pc.sep.dim
         for v, members in coset.items():
             orbit = set(members)
-            if pc.flavor != R.TWO_SIDED:
+            if pc.ctx.flavor != R.TWO_SIDED:
                 orbit |= coset[pc.sep.reduce(tuple(-x for x in v))]
-            want = None if zero in orbit and pc.flavor != R.TWO_SIDED else min(orbit)
+            want = None if zero in orbit and pc.ctx.flavor != R.TWO_SIDED else min(orbit)
             assert pc.pushed_class(v) == want
             assert pc.pushed_class(SEP._vec_add(v, pc.sep.moduli, -3)) == want
 
@@ -539,13 +537,13 @@ def test_offsets_need_a_full_rank_lattice():
     lattice: a free target qualifies when its side images do."""
     from selflink import DimensionMismatch
     coset6 = R.coset_ring(AB1, S.parse_word(AB1, "x^6"))
-    assert (SEP.PushedContext.of(SEP.abelianization(AB1), coset6).offsets()
+    assert (SEP.PushedContext(SEP.abelianization(AB1), coset6).offsets()
             == [(a,) for a in range(6)])
     coset_xy = R.coset_ring(FREE2, S.parse_word(FREE2, "x y"))
     for ctx in (coset_xy, R.plain_ring(FREE2)):
         with pytest.raises(DimensionMismatch):
-            SEP.PushedContext.of(SEP.abelianization(FREE2), ctx).offsets()
+            SEP.PushedContext(SEP.abelianization(FREE2), ctx).offsets()
     mod4 = SEP.cyclic_separator(FREE2, 4)
-    assert (SEP.PushedContext.of(mod4, R.plain_ring(FREE2)).offsets()
+    assert (SEP.PushedContext(mod4, R.plain_ring(FREE2)).offsets()
             == list(itertools.product(range(4), repeat=2)))
-    assert SEP.PushedContext.of(mod4, coset_xy).offsets() == [(0, a) for a in range(4)]
+    assert SEP.PushedContext(mod4, coset_xy).offsets() == [(0, a) for a in range(4)]
