@@ -35,7 +35,6 @@ from .linking import (Knot, LinkTrace, SphereData, Trace, compose, connect_sum,
 from .scenario import Scenario, execute_query, parse_scenario, print_scenario
 from .separators import (PushedContext, Separator, abelianization,
                          cyclic_separator, default_separator_suite,
-                         hermite_form, lattice_member, lattice_solve,
-                         push_forward)
+                         lattice_member, push_forward)
 
 __version__ = "0.1.0"

@@ -40,7 +40,8 @@ def _build_parser():
     p.add_argument("--support-len", type=int, default=I.Bounds.support_len,
                    help="letter cap per class key during the search")
     p.add_argument("--max-states", type=int, default=I.Bounds.max_states,
-                   help="visited-state cap per search direction")
+                   help="visited-state cap per search direction, and cap on "
+                        "the key classes a lattice turn enumerates")
     p.add_argument("--json", action="store_true", help="structured JSON report")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 if any verdict is Unknown")

@@ -56,7 +56,8 @@ class Bounds:
     depth: int = 6            # total composition depth of the orbit search
     translate_len: int = 6    # word-length cap for materialized translates
     support_len: int = 16     # letter cap per class key in a search state
-    max_states: int = 50000   # visited-state cap per direction
+    max_states: int = 50000   # visited-state cap per direction, and cap on
+                              # the key classes a lattice turn enumerates
 
     def to_record(self):
         return {"depth": self.depth, "translate_len": self.translate_len,
@@ -400,14 +401,15 @@ def _abelian_certificate(phi, relations, hit) -> Certificate:
     return Certificate(tuple(steps), c)
 
 
-def _lattice_stage(y1, y2, phi) -> DecisionResult | None:
+def _lattice_stage(y1, y2, phi, max_states) -> DecisionResult | None:
     """The suite's orbit lattices in order: a separator's miss is Distinct
     and its hit abstains, but where `_abelian_applicable` the
     abelianization decides exactly, a hit Equal and a miss the
     `abelian-lattice` Distinct.  With offsets enumerated (a link's
     biaction, or sphere families), the finite targets and the exact
-    abelianization run over one offset per key class; otherwise only the
-    abelianization runs, as a `modN` lattice hits where Z does."""
+    abelianization run over one offset per key class, and a turn with more
+    than max_states classes abstains; otherwise only the abelianization
+    runs, as a `modN` lattice hits where Z does."""
     ctx = phi.context
     enumerates = _enumerates(phi)
     for sep in S.default_separator_suite(ctx.spec):
@@ -415,7 +417,7 @@ def _lattice_stage(y1, y2, phi) -> DecisionResult | None:
             break
         pc = S.PushedContext(sep, ctx)
         exact = not sep.target_finite and _abelian_applicable(phi, pc)
-        if enumerates and not (sep.target_finite or exact):
+        if enumerates and (not (sep.target_finite or exact) or pc.classes > max_states):
             continue
         offsets = pc.offsets() if enumerates else [(0,) * sep.dim]
         relations, hit = _orbit_lattice(phi, sep.image, pc.push, offsets, y1, y2)
@@ -607,8 +609,9 @@ def decide_equal(y1: R.RingElement, y2: R.RingElement,
         one = (G.identity(phi.context.spec),)
         return DecisionResult("equal", certificate=Certificate((), one * len(phi.zetas)))
     # true invariants first: they are independent of the search bounds, so
-    # a Distinct here can never conflict with an Equal at any depth
-    res = _lattice_stage(y1, y2, phi)
+    # a Distinct here can never conflict with an Equal at any depth (the
+    # class cap only makes a lattice turn abstain)
+    res = _lattice_stage(y1, y2, phi, bounds.max_states)
     if res is None:
         if not phi.sided_spheres and is_spherical_presented(phi):
             # pure conjugation acts termwise by a key bijection that keeps

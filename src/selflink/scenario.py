@@ -73,7 +73,7 @@ def _parse_points(spec, tokens, line_no):
         if not group or group[0] not in ("+", "-", "+1", "-1"):
             raise ParseError("point group must start with a sign", line=line_no)
         sign = 1 if group[0].startswith("+") else -1
-        points.append((sign, _word(spec, group[1:] or ["1"], line_no)))
+        points.append((sign, _word(spec, group[1:], line_no)))
         i = j + 1
     return tuple(points)
 

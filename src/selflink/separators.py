@@ -4,18 +4,21 @@ A separator pushes group elements through a homomorphism onto a finitely
 generated abelian target, free or finite.  Classes of the source coset
 rings map to exactly canonicalized classes of the target, and membership
 questions in the pushed relation lattice are decided by a row Hermite
-normal form over arbitrary-precision integers, which also yields small
-integer combinations (`lattice_solve`, `lattice_member`).  The same
-Hermite basis, of the lattice that the moduli and the images of the ring
-context's `sides` span, keys every pushed class by its reduction (`_reduce`,
-zero exactly on the lattice), and where it has full rank gives one offset
-per class (`PushedContext`).
+normal form over arbitrary-precision integers, kept on sparse rows
+{column: nonzero entry}: one insertion pass over the relations and their
+transform decides membership and yields a small integer combination
+(`lattice_member`).  The same Hermite basis, of the lattice that the
+moduli and the images of the ring context's `sides` span, keys every
+pushed class by its reduction (`_reduce`, zero exactly on the lattice),
+and where it has full rank gives one offset per class (`PushedContext`).
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import cosets as R
@@ -23,30 +26,47 @@ from . import groups as G
 from .errors import DimensionMismatch, SpecMismatch
 
 # ---------------------------------------------------------------------------
-# Hermite normal form
+# Hermite normal form on sparse rows {column: nonzero entry}
 
 
-def _lead(row):
-    """Column of the first nonzero entry, or None for a zero row."""
-    for j, a in enumerate(row):
-        if a:
-            return j
+def _minus(row, p, q):
+    """row -= q * p, in place, for q nonzero."""
+    get = row.get
+    for j, b in p.items():
+        if a := get(j, 0) - q * b:
+            row[j] = a
+        else:
+            del row[j]
+
+
+def _combine(a, r, b, s):
+    """a * r + b * s, a new row."""
+    return {j: c for j in r.keys() | s.keys() if (c := a * r.get(j, 0) + b * s.get(j, 0))}
+
+
+def _descend(basis, row, stop=math.inf):
+    """Reduce row in place down the pivots of the Hermite basis
+    {pivot column: row} while they divide it.  Returns the column before
+    stop where row stays nonzero, having no pivot there or one that does
+    not divide, or None when no entry before stop is left: with stop at
+    the key columns, exactly when row's key part is in the lattice."""
+    while row and (col := min(row)) < stop:
+        p = basis.get(col)
+        if p is None or row[col] % p[col]:
+            return col
+        _minus(row, p, row[col] // p[col])
     return None
 
 
-def _sub(row, pivot_row, q):
-    """row - q * pivot_row."""
-    return [a - q * b for a, b in zip(row, pivot_row)]
-
-
 def _reduce(rows, vec) -> tuple:
-    """The member of vec + L whose pivot entries lie in [0, pivot), for the
-    Hermite basis rows of L as (pivot column, row) pairs in column order;
-    it is zero exactly when vec is in L."""
+    """The member of vec + L whose pivot entries lie in [0, pivot), for a
+    dense vector and the Hermite basis rows of L as (pivot column, row)
+    pairs in column order; it is zero exactly when vec is in L."""
     v = list(vec)
     for c, row in rows:
         if q := v[c] // row[c]:
-            v = _sub(v, row, q)
+            for j, b in row.items():
+                v[j] -= q * b
     return tuple(v)
 
 
@@ -60,99 +80,42 @@ def _xgcd(a, b):
 
 
 def _insert(basis, row):
-    """Add row to the lattice whose Hermite basis is {pivot column: row}.
+    """Add the sparse row to the lattice whose Hermite basis is
+    {pivot column: row}, consuming it.
 
-    The row is reduced down the pivots; where a pivot does not divide its
-    entry, a unimodular 2 x 2 step puts their gcd in the pivot row and
-    carries on with a row that is zero there.  A left-over row becomes a
-    new pivot.  Returns True iff the lattice grew (row was not a member);
-    the entries above every pivot from row's lead on (earlier ones did not
-    change) are then reduced into [0, pivot) again, which keeps them from
-    growing from one insertion to the next.
+    The row is reduced down the pivots (`_descend`); where a pivot does not
+    divide its entry, a unimodular 2 x 2 step puts their gcd in the pivot
+    row and carries on with a row that is zero there.  A left-over row
+    becomes a new pivot.  Then the entries above the pivots are reduced
+    into [0, pivot) again where that can have changed: in the changed rows,
+    in the columns of the changed pivots, and in the columns that these
+    reductions touch.  That keeps the basis the unique Hermite form, and
+    its entries from growing from one insertion to the next.
     """
-    grew = False
-    col = lead = _lead(row)
+    changed = set()
+    col = _descend(basis, row)
     while col is not None:
+        changed.add(col)
         p = basis.get(col)
         if p is None:
-            basis[col] = row if row[col] > 0 else [-a for a in row]
-            grew = True
+            basis[col] = row if row[col] > 0 else {j: -a for j, a in row.items()}
             break
-        if row[col] % p[col]:
-            g, x, y = _xgcd(p[col], row[col])
-            basis[col], row = ([x * a + y * b for a, b in zip(p, row)],
-                               [(row[col] // g) * a - (p[col] // g) * b
-                                for a, b in zip(p, row)])
-            grew = True
-        else:
-            row = _sub(row, p, row[col] // p[col])
-        col = _lead(row)
-    if grew:
-        cols = sorted(basis)
-        for j, cj in enumerate(cols):
-            for ci in cols[:j] if cj >= lead else ():
-                q = basis[ci][cj] // basis[cj][cj]
-                if q:
-                    basis[ci] = _sub(basis[ci], basis[cj], q)
-    return grew
-
-
-def hermite_form(A):
-    """Return (H, U) with U*A = H and U unimodular, for an m x n matrix A.
-
-    [H | U] is the row Hermite normal form of [A | I]: every row starts
-    with a positive pivot to the right of the previous row's pivot, and
-    the entries above a pivot lie in [0, pivot).  So the nonzero rows of H
-    are the Hermite normal form of the row lattice of A (they come first),
-    and the rows of U beside the zero rows of H are an echelon basis of
-    the left kernel of A.  The rows of [A | I] are inserted one at a time.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    basis = {}
-    for i, r in enumerate(A):
-        _insert(basis, list(r) + [int(i == j) for j in range(m)])
-    rows = [basis[c] for c in sorted(basis)]
-    return [r[:n] for r in rows], [r[n:] for r in rows]
-
-
-def lattice_solve(A, v):
-    """Integer coefficients c with A*c = v, or None.  A is rows x cols.
-
-    The columns of A are the generators.  Those that enlarge the lattice
-    spanned by the ones before them are kept, in order; they span the
-    same lattice, and its Hermite basis decides membership.  A solution
-    on the kept generators is read off their `hermite_form` and then
-    size-reduced against its kernel rows, which leaves every kernel pivot
-    coordinate in the centered range of its pivot and so keeps the
-    coefficients small.  A skipped generator gets coefficient 0.
-    """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if len(v) != rows:
-        raise DimensionMismatch("vector length does not match the matrix")
-    if not any(v):
-        return [0] * cols
-    basis = {}
-    kept = [j for j, g in enumerate(zip(*A)) if _insert(basis, list(g))]
-    if any(_reduce(sorted(basis.items()), v)):
-        return None
-    H, U = hermite_form([[row[j] for row in A] for j in kept])
-    rank = sum(1 for h in H if any(h))
-    rest = list(v)
-    c = [0] * len(kept)
-    for h, u in zip(H[:rank], U):
-        col = _lead(h)
-        q = rest[col] // h[col]
-        rest = _sub(rest, h, q)
-        c = _sub(c, u, -q)
-    for u in U[rank:]:                      # size-reduce against the kernel
-        col = _lead(u)
-        c = _sub(c, u, (2 * c[col] + u[col]) // (2 * u[col]))
-    out = [0] * cols
-    for j, k in zip(kept, c):
-        out[j] = k
-    return out
+        g, x, y = _xgcd(p[col], row[col])
+        basis[col], row = (_combine(x, p, y, row),
+                           _combine(row[col] // g, p, -(p[col] // g), row))
+        col = _descend(basis, row)
+    for ci, r in basis.items() if changed else ():
+        todo = [c for c in (r if ci in changed else changed) if c > ci and c in r and c in basis]
+        heapq.heapify(todo)
+        done = ci
+        while todo:
+            cj = heapq.heappop(todo)
+            if cj > done and (q := r.get(cj, 0) // basis[cj][cj]):
+                _minus(r, basis[cj], q)
+                for c in basis[cj]:
+                    if c > cj and c in basis:
+                        heapq.heappush(todo, c)
+            done = cj
 
 
 def lattice_member(relations, coeffs: dict):
@@ -160,19 +123,39 @@ def lattice_member(relations, coeffs: dict):
 
     Returns the integer combination or None.  Total: combinations cannot
     leave the union of supports, so restricting there is exact.  Keys are
-    indexed in first-occurrence order: which relations are kept, the
-    kernel's Hermite basis in relation coordinates, and so the size-reduced
-    combination do not depend on the order.
+    the columns 0..n-1, in first-occurrence order.  One insertion pass
+    builds the Hermite basis of [R | I] over the kept relations, those that
+    enlarge the lattice spanned by the ones before them (a skipped relation
+    gets coefficient 0): its rows with pivots among the keys decide
+    membership, and reducing the vector down them leaves minus a solution
+    in the transform columns.  The rows with pivots there are the Hermite
+    basis of the kernel; size-reducing against them leaves every kernel
+    pivot coordinate in the centered range of its pivot, which keeps the
+    coefficients small and makes the combination unique in its box.  Which
+    relations are kept, the kernel basis in relation coordinates, and so
+    the combination do not depend on the key order.
     """
     index = {k: i for i, k in enumerate(dict.fromkeys(itertools.chain(*relations, coeffs)))}
-    matrix = [[0] * len(relations) for _ in index]
+    n = len(index)
+    basis, kept = {}, []
     for j, rel in enumerate(relations):
-        for k, c in rel.items():
-            matrix[index[k]][j] = c
-    v = [0] * len(index)
-    for k, c in coeffs.items():
-        v[index[k]] = c
-    return lattice_solve(matrix, v)
+        row = {index[k]: c for k, c in rel.items() if c}
+        row[n + len(kept)] = 1
+        if _descend(basis, row, n) is not None:
+            _insert(basis, row)
+            kept.append(j)
+    v = {index[k]: c for k, c in coeffs.items() if c}
+    if _descend(basis, v, n) is not None:
+        return None
+    c = {j: -a for j, a in v.items()}
+    for col in sorted(col for col in basis if col >= n):
+        u = basis[col]
+        if q := (2 * c.get(col, 0) + u[col]) // (2 * u[col]):
+            _minus(c, u, q)
+    out = [0] * len(relations)
+    for j, a in c.items():
+        out[kept[j - n]] = a
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +241,9 @@ class PushedContext:
 
     def __post_init__(self):
         sides = [self.sep.image(s) for s in dict.fromkeys(self.ctx.sides) if s is not None]
-        n = self.sep.dim
         basis = {}
-        for row in [[m * (i == j) for j in range(n)]
-                    for i, m in enumerate(self.sep.moduli)] + [list(s) for s in sides]:
+        for row in [{i: m} for i, m in enumerate(self.sep.moduli) if m] + [
+                {j: a for j, a in enumerate(s) if a} for s in sides]:
             _insert(basis, row)
         object.__setattr__(self, "_rows", tuple(sorted(basis.items())))
 
@@ -269,6 +251,12 @@ class PushedContext:
     def finite(self) -> bool:
         """Whether L has full rank, so that the key group Z^n / L is finite."""
         return len(self._rows) == self.sep.dim
+
+    @property
+    def classes(self) -> int:
+        """The number of cosets of L that `offsets` lists, where L has full
+        rank: the product of its Hermite pivots."""
+        return math.prod(row[c] for c, row in self._rows)
 
     def offsets(self) -> list:
         """One target vector per coset of L, the trivial one first: a pushed

@@ -1,7 +1,11 @@
 """Command-line interface: exit codes, JSON reports, strictness flags."""
 
 import json
+import os
 import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -161,6 +165,8 @@ def test_parse_error_is_an_error(tmp_path):
     ("group free x y\nknot k =\n", ["run", "FILE"], "line 2: empty word"),
     ("group free x y\nknot k = x\ntrace h : k -> k latitude points ( + x )\n",
      ["run", "FILE"], "line 3: empty word"),
+    ("group free x y\nknot k = x\nsphere s points ( + ) ( - x )\n",
+     ["lambda", "FILE", "s", "k"], "line 3: empty word (1 denotes the identity)"),
     ("group product [ free x\n", ["normalize", "FILE", "x"],
      "line 1: unterminated product factor '[ free x'"),
 ], ids=["decide-one-element", "canon-no-knot", "lambda-no-argument",
@@ -169,6 +175,7 @@ def test_parse_error_is_an_error(tmp_path):
         "stored-query-without-group", "knot-without-word",
         "phi-without-arguments", "not-utf8", "blank-ring-element",
         "empty-class-word", "knot-with-empty-word", "latitude-without-word",
+        "empty-point-word",
         "unterminated-product-factor"])
 def test_malformed_input_is_an_error(text, argv, message, tmp_path, capsys):
     p = tmp_path / "case.scn"
@@ -180,6 +187,37 @@ def test_malformed_input_is_an_error(text, argv, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
+
+
+HUGE_KEY_GROUP_SCN = """\
+group abelian x
+knot k = x^100000000
+trace h : k -> k latitude x
+sphere s points ( + 1 ) ( + x )
+phi P knot k toroidal h spheres s
+query decide "+1*[x]" "0" P
+"""
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_huge_key_group_answers_under_a_memory_cap(tmp_path):
+    """The abelianization's lattice turn would enumerate 10^8 key classes,
+    more than max_states, so it abstains and the decision goes on.  It runs
+    in a child under a 1 GiB address-space cap and a timeout, so a failure
+    fails the test instead of exhausting the machine."""
+    p = tmp_path / "huge.scn"
+    p.write_text(HUGE_KEY_GROUP_SCN)
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "selflink.cli", "run", str(p)],
+                          env=env, preexec_fn=_cap_address_space,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "decide +1*[x] 0 P -> equal\n"
 
 
 def test_query_time_unknown_name_has_no_line_number(scn_file, capsys):

@@ -924,17 +924,26 @@ def test_rank2_links_decide_exactly_without_the_search(monkeypatch):
     assert verdicts["equal"] >= 10 and verdicts["distinct"] >= 10
 
 
-def test_rank1_long_sphere_chain_decides_quickly():
-    """Knot x^1200 with the two-point sphere [1] + [x]: the orbit lattice
-    has one sphere relation per class, and the Hermite basis re-reduces
-    only the columns an insertion touches, so the decision stays fast."""
+@pytest.mark.parametrize("n, torus, sphere, y1, y2, steps, limit", [
+    (1200, (), ((1, 0), (1, 1)), "+1*[x]", "0", None, 3.0),
+    (1600, ((1, 1), (-1, 3)), ((1, 1), (-1, 2)), "+1*[x^800]", "+1*[x^5]", 795, 2.0),
+], ids=["x1200", "x1600"])
+def test_rank1_long_sphere_chain_decides_quickly(n, torus, sphere, y1, y2, steps, limit):
+    """Knot x^n with a two-point sphere: the orbit lattice has one sphere
+    relation per class, and one sparse Hermite pass, which re-reduces only
+    the entries an insertion changes, finds the membership and its
+    combination together, so the decision stays fast."""
     x = S.generator(AB1, "x")
-    k = L.Knot("k", S.power(x, 1200))
-    phi = I.build_phi(k, [L.Trace(k, k, (), x)],
-                      spheres=[L.SphereData("s", ((1, S.identity(AB1)), (1, x)))])
-    y1, y2 = R.parse_ring(phi.context, "+1*[x]"), R.zero(phi.context)
+    k = L.Knot("k", S.power(x, n))
+
+    def points(pts):
+        return tuple((sign, S.power(x, e)) for sign, e in pts)
+    phi = I.build_phi(k, [L.Trace(k, k, points(torus), x)],
+                      spheres=[L.SphereData("s", points(sphere))])
+    y1, y2 = (R.parse_ring(phi.context, y) for y in (y1, y2))
     t0 = time.perf_counter()
     res = I.decide_equal(y1, y2, phi)
-    assert time.perf_counter() - t0 < 3.0
+    assert time.perf_counter() - t0 < limit
     assert res.verdict == "equal"
+    assert steps is None or len(res.certificate.steps) == steps
     assert I.replay(res.certificate, y1, y2)

@@ -45,10 +45,22 @@ def _det(A):
     return sign * M[n - 1][n - 1]
 
 
+def _hermite_form(A):
+    """(H, U) with U*A = H: [H | U] is the row Hermite normal form of
+    [A | I], built by `_insert` on its sparse rows."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    basis = {}
+    for i, r in enumerate(A):
+        SEP._insert(basis, {j: a for j, a in enumerate(list(r) + [0] * i + [1]) if a})
+    rows = [[basis[c].get(j, 0) for j in range(n + m)] for c in sorted(basis)]
+    return [r[:n] for r in rows], [r[n:] for r in rows]
+
+
 def _check_hnf(A):
     """U*A = H, U unimodular, and [H | U] in row Hermite normal form with
     the nonzero rows of H first."""
-    H, U = SEP.hermite_form(A)
+    H, U = _hermite_form(A)
     assert len(H) == len(U) == len(A)
     assert _matmul(U, A) == H
     assert abs(_det(U)) == 1
@@ -73,15 +85,21 @@ def test_hnf_randomized_reconstruction():
 
 
 def test_hnf_known_values():
-    assert SEP.hermite_form([[2, 4], [6, 8]]) == ([[2, 0], [0, 4]],
-                                                  [[-2, 1], [3, -1]])
-    assert SEP.hermite_form([[1, 0], [0, 6]]) == ([[1, 0], [0, 6]],
-                                                  [[1, 0], [0, 1]])
-    assert SEP.hermite_form([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]],
-                                                  [[1, 0], [0, 1]])
+    assert _hermite_form([[2, 4], [6, 8]]) == ([[2, 0], [0, 4]],
+                                              [[-2, 1], [3, -1]])
+    assert _hermite_form([[1, 0], [0, 6]]) == ([[1, 0], [0, 6]],
+                                              [[1, 0], [0, 1]])
+    assert _hermite_form([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]],
+                                              [[1, 0], [0, 1]])
     # rank 1: the kernel row 2*(1, 2) - (2, 4) = 0 follows the pivot row
-    assert SEP.hermite_form([[1, 2], [2, 4]]) == ([[1, 2], [0, 0]],
-                                                  [[1, 0], [2, -1]])
+    assert _hermite_form([[1, 2], [2, 4]]) == ([[1, 2], [0, 0]],
+                                              [[1, 0], [2, -1]])
+
+
+def _lattice_solve(A, v):
+    """Integer coefficients c with A*c = v, or None: the columns of A are
+    the relations over the row indices."""
+    return SEP.lattice_member([dict(enumerate(col)) for col in zip(*A)], dict(enumerate(v)))
 
 
 def test_lattice_solve_round_trip():
@@ -93,7 +111,7 @@ def test_lattice_solve_round_trip():
         A = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
         c = [rng.randint(-4, 4) for _ in range(cols)]
         v = [sum(A[i][j] * c[j] for j in range(cols)) for i in range(rows)]
-        sol = SEP.lattice_solve(A, v)
+        sol = _lattice_solve(A, v)
         assert sol is not None
         assert [sum(A[i][j] * sol[j] for j in range(cols)) for i in range(rows)] == v
         hits += 1
@@ -102,9 +120,9 @@ def test_lattice_solve_round_trip():
 
 def test_lattice_solve_detects_non_members():
     # columns span 2Z x 3Z; (1, 0) is not in the lattice
-    assert SEP.lattice_solve([[2, 0], [0, 3]], [1, 0]) is None
-    assert SEP.lattice_solve([[2, 0], [0, 3]], [4, -3]) == [2, -1]
-    assert SEP.lattice_solve([[2], [4]], [3, 6]) is None
+    assert _lattice_solve([[2, 0], [0, 3]], [1, 0]) is None
+    assert _lattice_solve([[2, 0], [0, 3]], [4, -3]) == [2, -1]
+    assert _lattice_solve([[2], [4]], [3, 6]) is None
 
 
 def _old_smith_normal_form(A):
@@ -194,7 +212,7 @@ def test_lattice_solve_agrees_with_the_old_smith_form():
             v = [sum(a * x for a, x in zip(row, c)) for row in A]
         else:
             v = [rng.randint(-4, 4) for _ in range(rows)]
-        sol = SEP.lattice_solve(A, v)
+        sol = _lattice_solve(A, v)
         assert (sol is not None) == _snf_member(A, v), (A, v)
         if sol is not None:
             members += 1
@@ -203,12 +221,12 @@ def test_lattice_solve_agrees_with_the_old_smith_form():
 
 
 def _timed_membership(A, c):
-    """lattice_solve on A*c (a member) and on 2A*c + e_0 (not one: the
+    """_lattice_solve on A*c (a member) and on 2A*c + e_0 (not one: the
     lattice of 2A is even), each checked and timed."""
     v = [sum(a * x for a, x in zip(row, c)) for row in A]
     t0 = time.perf_counter()
-    sol = SEP.lattice_solve(A, v)
-    miss = SEP.lattice_solve([[2 * a for a in row] for row in A],
+    sol = _lattice_solve(A, v)
+    miss = _lattice_solve([[2 * a for a in row] for row in A],
                              [2 * v[0] + 1] + [2 * x for x in v[1:]])
     elapsed = time.perf_counter() - t0
     assert [sum(a * x for a, x in zip(row, sol)) for row in A] == v
@@ -271,6 +289,108 @@ def test_lattice_member_ignores_key_order():
             order = rng.sample(keys, len(keys))
             shuffled = [{k: r[k] for k in order if k in r} for r in relations]
             assert SEP.lattice_member(shuffled, {k: target[k] for k in order}) == expected
+
+
+def _old_dense_insert(basis, row):
+    """Dense Hermite insertion of the old lattice layer; True iff the
+    lattice grew."""
+    def lead(r):
+        return next((j for j, a in enumerate(r) if a), None)
+
+    def sub(r, p, q):
+        return [a - q * b for a, b in zip(r, p)]
+    grew = False
+    col = first = lead(row)
+    while col is not None:
+        p = basis.get(col)
+        if p is None:
+            basis[col] = row if row[col] > 0 else [-a for a in row]
+            grew = True
+            break
+        if row[col] % p[col]:
+            g, x, y = SEP._xgcd(p[col], row[col])
+            basis[col], row = ([x * a + y * b for a, b in zip(p, row)],
+                               [(row[col] // g) * a - (p[col] // g) * b
+                                for a, b in zip(p, row)])
+            grew = True
+        else:
+            row = sub(row, p, row[col] // p[col])
+        col = lead(row)
+    if grew:
+        cols = sorted(basis)
+        for j, cj in enumerate(cols):
+            for ci in cols[:j] if cj >= first else ():
+                if q := basis[ci][cj] // basis[cj][cj]:
+                    basis[ci] = sub(basis[ci], basis[cj], q)
+    return grew
+
+
+def _old_dense_member(relations, coeffs):
+    """The dense lattice layer that `lattice_member` replaced, kept here
+    only as the oracle of the property test below: a keys x relations
+    matrix in first-occurrence key order; the relations that enlarge the
+    lattice of the ones before them kept; the Hermite form of [A_kept | I]
+    by a second insertion pass; the solution read off its key pivots and
+    size-reduced against its kernel rows."""
+    index = {k: i for i, k in enumerate(dict.fromkeys(itertools.chain(*relations, coeffs)))}
+    n, m = len(index), len(relations)
+    cols = [[r.get(k, 0) for k in index] for r in relations]
+    v = [coeffs.get(k, 0) for k in index]
+    if not any(v):
+        return [0] * m
+    basis = {}
+    kept = [j for j, g in enumerate(cols) if _old_dense_insert(basis, list(g))]
+    rest = list(v)
+    for c, row in sorted(basis.items()):
+        rest = [a - (rest[c] // row[c]) * b for a, b in zip(rest, row)]
+    if any(rest):
+        return None
+    basis = {}
+    for i, j in enumerate(kept):
+        _old_dense_insert(basis, cols[j] + [int(i == t) for t in range(len(kept))])
+    rest, c = list(v), [0] * len(kept)
+    for col, row in sorted(basis.items()):
+        if col < n:
+            q = rest[col] // row[col]
+            rest = [a - q * b for a, b in zip(rest, row)]
+            c = [a + q * b for a, b in zip(c, row[n:])]
+        else:                               # size-reduce against the kernel
+            u = row[n:]
+            q = (2 * c[col - n] + u[col - n]) // (2 * u[col - n])
+            c = [a - q * b for a, b in zip(c, u)]
+    out = [0] * m
+    for j, a in zip(kept, c):
+        out[j] = a
+    return out
+
+
+def test_lattice_member_matches_the_old_dense_layer():
+    """The one sparse pass returns exactly the old dense layer's combination,
+    or None with it, on seeded inputs with redundant relations, non-members
+    and shuffled key orders: the kept relations and the kernel's Hermite
+    basis are unique, and so is the size-reduced combination."""
+    rng = random.Random(607)
+    found = 0
+    for case in range(2000):
+        keys = [f"k{i}" for i in range(rng.randint(1, 6))]
+        relations = [{k: rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+                      for k in rng.sample(keys, rng.randint(1, len(keys)))}
+                     for _ in range(rng.randint(0, 7))]
+        if relations and rng.random() < 0.3:      # a redundant relation
+            a, b = rng.choice(relations), rng.choice(relations)
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            relations.append({k: s * a.get(k, 0) + t * b.get(k, 0) for k in keys})
+        target = {k: rng.randint(-9, 9) for k in rng.sample(keys, rng.randint(0, len(keys)))}
+        if case % 2:
+            target = {k: sum(rng.randint(-5, 5) * r.get(k, 0) for r in relations)
+                      for k in keys}
+        order = rng.sample(keys, len(keys))
+        relations = [{k: r[k] for k in order if k in r} for r in relations]
+        target = {k: target[k] for k in order if k in target}
+        expected = _old_dense_member(relations, target)
+        assert SEP.lattice_member(relations, target) == expected, (relations, target)
+        found += expected is not None
+    assert 1000 < found < 2000
 
 
 # ---------------------------------------------------------------------------
