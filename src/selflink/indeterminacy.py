@@ -24,11 +24,18 @@ pipeline for knots and links:
   * Unknown otherwise, reporting the bounds exhausted.
 
 In an abelian image the orbit of a value is a union of lattice cosets, one
-per outer shift; _orbit_lattice builds the lattice and scans the shifts.
-One stage, _lattice_stage, runs it in each separator's image in turn, where
-a miss is Distinct.  In the abelianization of an abelian group, whose
-pushed classes are the ring's classes, it decides exactly wherever the key
-group is finite, a hit becoming the Equal certificate.
+per outer shift; _orbit_relations builds the lattice and _orbit_hit scans
+the shifts.  One stage, _lattice_stage, runs it in each separator's image
+in turn, where a miss is Distinct.  In the abelianization of an abelian
+group, whose pushed classes are the ring's classes, it decides exactly
+wherever the key group is finite, a hit becoming the Equal certificate.
+
+Everything that depends on Phi alone is built once per presentation, the
+first time a query needs it, and kept on the PhiGroup: each separator's
+turn (its pushed context, offsets, relations and their Hermite basis) and
+the orbit searcher per Bounds (its conjugated toroidal generators, sphere
+translates, and the goal translates of the class keys it has met).  A
+query pushes, reduces and searches only from its own two values.
 
 An outer conjugator is a tuple: (alpha,) conjugates a knot value, (alpha,
 beta) biacts a link value.
@@ -89,6 +96,17 @@ class PhiGroup:
     zetas: tuple[tuple[G.GroupElement, ...], ...]
     toroidal: tuple[PhiGen, ...]
     sided_spheres: tuple[tuple[L.SphereData, bool], ...]
+
+    @functools.cached_property
+    def _turns(self) -> list:
+        """The lattice stage's turns, one per separator of the suite in
+        order, each appended when a query first reaches it."""
+        return []
+
+    @functools.cached_property
+    def _searches(self) -> dict:
+        """The orbit searcher per Bounds, built when a query first needs it."""
+        return {}
 
 
 def _present(knots, factors, invariant, sided_spheres) -> PhiGroup:
@@ -326,33 +344,45 @@ def _difference(a: dict, b: dict) -> dict:
 # the orbit lattice in an abelian image
 
 
-def _orbit_lattice(phi, image, push, offsets, y1, y2):
-    """The relations of the orbit of y2 in an abelian image, as (vector,
-    source, offset) first occurrences in order, and (shift, coefficients)
-    for the first outer shift of y2 whose difference from y1 is in their
-    span, or None.  image maps words; push maps (image, coefficient) terms,
-    each translated by an offset, to a class vector.  Toroidal offsets move
-    only under a link's biaction, sphere families under every offset."""
-    shifts = offsets if _shifts_keys(phi) else offsets[:1]
+def _mover(image, push, pairs):
+    """The map from an offset to the class vector of the (word,
+    coefficient) pairs, each image translated by the offset."""
+    return functools.partial(push, [(image(w), c) for w, c in pairs])
 
-    def mover(pairs):
-        return functools.partial(push, [(image(w), c) for w, c in pairs])
 
-    families = [(g, mover(g.z.terms), shifts) for g in phi.toroidal if g.z]
-    families += [(sph, mover((p, s) for s, p in sph.points), offsets)
+def _shifts(phi, offsets):
+    """The outer shifts of an orbit lattice: every offset under a link's
+    biaction, else the trivial one."""
+    return offsets if _shifts_keys(phi) else offsets[:1]
+
+
+def _orbit_relations(phi, image, push, offsets):
+    """The relations of the orbit lattice of Phi in an abelian image, as
+    (vector, source, offset) first occurrences in order.  image maps words;
+    push maps (image, coefficient) terms, each translated by an offset, to
+    a class vector.  Toroidal offsets move only under a link's biaction,
+    sphere families under every offset."""
+    shifts = _shifts(phi, offsets)
+    families = [(g, _mover(image, push, g.z.terms), shifts) for g in phi.toroidal if g.z]
+    families += [(sph, _mover(image, push, ((p, s) for s, p in sph.points)), offsets)
                  for sph, _ in phi.sided_spheres]
     relations = {}
     for src, move, moves in families:
         for t in moves:
             if rel := move(t):
                 relations.setdefault(frozenset(rel.items()), (rel, src, t))
-    relations = list(relations.values())
-    v1, move2 = mover(y1.terms)(offsets[0]), mover(y2.terms)
-    for t in shifts:
-        coeffs = S.lattice_member([r for r, _, _ in relations], _difference(v1, move2(t)))
+    return list(relations.values())
+
+
+def _orbit_hit(phi, image, push, offsets, lattice, y1, y2):
+    """(shift, coefficients) for the first outer shift of y2 whose
+    difference from y1 is in the lattice of the orbit relations, or None."""
+    v1, move2 = _mover(image, push, y1.terms)(offsets[0]), _mover(image, push, y2.terms)
+    for t in _shifts(phi, offsets):
+        coeffs = S.lattice_member(lattice, _difference(v1, move2(t)))
         if coeffs is not None:
-            return relations, (t, coeffs)
-    return relations, None
+            return t, coeffs
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +431,34 @@ def _abelian_certificate(phi, relations, hit) -> Certificate:
     return Certificate(tuple(steps), c)
 
 
+class _Turn:
+    """One separator's turn of the lattice stage on a presentation: its
+    pushed context, whether it decides exactly, and, built on first use,
+    its offsets, its orbit relations and their Lattice.  A query pushes
+    only its own two values."""
+
+    def __init__(self, phi: PhiGroup, sep: S.Separator):
+        self.phi, self.sep = phi, sep
+        self.pc = S.PushedContext(sep, phi.context)
+        self.exact = not sep.target_finite and _abelian_applicable(phi, self.pc)
+
+    @functools.cached_property
+    def offsets(self) -> list:
+        return self.pc.offsets() if _enumerates(self.phi) else [(0,) * self.sep.dim]
+
+    @functools.cached_property
+    def relations(self) -> list:
+        return _orbit_relations(self.phi, self.sep.image, self.pc.push, self.offsets)
+
+    @functools.cached_property
+    def lattice(self) -> S.Lattice:
+        return S.Lattice([r for r, _, _ in self.relations])
+
+    def hit(self, y1, y2):
+        return _orbit_hit(self.phi, self.sep.image, self.pc.push, self.offsets,
+                          self.lattice, y1, y2)
+
+
 def _lattice_stage(y1, y2, phi, max_states) -> DecisionResult | None:
     """The suite's orbit lattices in order: a separator's miss is Distinct
     and its hit abstains, but where `_abelian_applicable` the
@@ -409,26 +467,29 @@ def _lattice_stage(y1, y2, phi, max_states) -> DecisionResult | None:
     biaction, or sphere families), the finite targets and the exact
     abelianization run over one offset per key class, and a turn with more
     than max_states classes abstains; otherwise only the abelianization
-    runs, as a `modN` lattice hits where Z does."""
-    ctx = phi.context
+    runs, as a `modN` lattice hits where Z does.  Turns are kept on phi,
+    so each is built by the first query that reaches it."""
     enumerates = _enumerates(phi)
-    for sep in S.default_separator_suite(ctx.spec):
+    turns = phi._turns
+    for i, sep in enumerate(S.default_separator_suite(phi.context.spec)):
         if sep.target_finite and not enumerates:
             break
-        pc = S.PushedContext(sep, ctx)
-        exact = not sep.target_finite and _abelian_applicable(phi, pc)
-        if enumerates and (not (sep.target_finite or exact) or pc.classes > max_states):
+        if i == len(turns):
+            turns.append(_Turn(phi, sep))
+        turn = turns[i]
+        if enumerates and (not (sep.target_finite or turn.exact)
+                           or turn.pc.classes > max_states):
             continue
-        offsets = pc.offsets() if enumerates else [(0,) * sep.dim]
-        relations, hit = _orbit_lattice(phi, sep.image, pc.push, offsets, y1, y2)
-        if exact and hit is not None:
-            return DecisionResult("equal", certificate=_abelian_certificate(phi, relations, hit))
-        if exact:
+        hit = turn.hit(y1, y2)
+        if turn.exact and hit is not None:
+            return DecisionResult("equal", certificate=_abelian_certificate(
+                phi, turn.relations, hit))
+        if turn.exact:
             return DecisionResult("distinct", separator="abelian-lattice",
                                   values=(R.format_ring(y1), R.format_ring(y2)))
         if hit is None:
             return DecisionResult("distinct", separator=sep.name, values=tuple(
-                tuple(sorted(S.push_forward(sep, y).items())) for y in (y1, y2)))
+                tuple(sorted(turn.pc.push_value(y).items())) for y in (y1, y2)))
     return None
 
 
@@ -501,28 +562,46 @@ class _OrbitSearch:
             [side, G.invert(side)] if side is not None and not G.is_identity(side) else [])
             for right, side in zip((False, True), ctx.sides)}
         self.inverts = ctx.inverts
+        self.goals = {}
+
+    def _goal_translates(self, key: G.GroupElement) -> list:
+        """Sphere translates aligned with one class key, as (t, right,
+        generator or None where the translate is 0), first occurrences in
+        order; memoized per key, the memo cleared past max_states keys."""
+        out = self.goals.get(key)
+        if out is not None:
+            return out
+        if len(self.goals) > self.bounds.max_states:
+            self.goals.clear()
+        out, seen = [], set()
+        for u in (key, G.invert(key)) if self.inverts else (key,):
+            for sph, right in self.phi.sided_spheres:
+                for s, p in sph.points:
+                    base = G.multiply(G.invert(p), u) if right else G.multiply(u, G.invert(p))
+                    for pad in self.pads[right]:
+                        t = G.multiply(base, pad) if right else G.multiply(pad, base)
+                        if t.length() > self.bounds.translate_len or (t, right) in seen:
+                            continue
+                        seen.add((t, right))
+                        z = _sphere_element(self.ctx, t, sph.points, right)
+                        out.append((t, right, _translate_gen(self.phi, z, sph, t) if z else None))
+        self.goals[key] = out
+        return out
 
     def _goal_gens(self, y: R.RingElement):
         """Sphere translates aligned with the support of y."""
         out = []
         seen = set()
         for key in y.support():
-            for u in (key, G.invert(key)) if self.inverts else (key,):
-                for sph, right in self.phi.sided_spheres:
-                    for s, p in sph.points:
-                        base = G.multiply(G.invert(p), u) if right else G.multiply(u, G.invert(p))
-                        for pad in self.pads[right]:
-                            t = G.multiply(base, pad) if right else G.multiply(pad, base)
-                            if t.length() > self.bounds.translate_len or (t, right) in seen:
-                                continue
-                            seen.add((t, right))
-                            z = _sphere_element(self.ctx, t, sph.points, right)
-                            if z:
-                                out.append(_translate_gen(self.phi, z, sph, t))
+            for t, right, gen in self._goal_translates(key):
+                if (t, right) not in seen:
+                    seen.add((t, right))
+                    if gen is not None:
+                        out.append(gen)
         return out
 
-    def _admissible(self, y: R.RingElement) -> bool:
-        return len(y.terms) <= self.term_cap and all(
+    def _admissible(self, y: R.RingElement, term_cap: int) -> bool:
+        return len(y.terms) <= term_cap and all(
             k.length() <= self.bounds.support_len for k, _ in y.terms)
 
     def _neighbors(self, y: R.RingElement):
@@ -533,7 +612,7 @@ class _OrbitSearch:
     def run(self, y1: R.RingElement, y2: R.RingElement):
         """A Certificate carrying y2 to y1, or None within bounds."""
         b = self.bounds
-        self.term_cap = len(y1.terms) + len(y2.terms) + 4
+        term_cap = len(y1.terms) + len(y2.terms) + 4
         radius, cap = self.seed_ball(b.depth)
         # forward: states reachable from y2; value = (parent, gen, dir)
         fwd: dict[R.RingElement, tuple] = {y2: None}
@@ -557,7 +636,7 @@ class _OrbitSearch:
             nxt = []
             for state in frontier:
                 for gen, d, ns in self._neighbors(state):
-                    if ns in src or not self._admissible(ns):
+                    if ns in src or not self._admissible(ns, term_cap):
                         continue
                     # a backward edge ns -> state applies gen with direction -d
                     src[ns] = (state, gen, d) if expand_fwd else (state, gen, -d, src[state][3])
@@ -620,7 +699,9 @@ def decide_equal(y1: R.RingElement, y2: R.RingElement,
             if m1 != m2:
                 return DecisionResult("distinct", separator="support-multiset",
                                       values=(m1, m2))
-        cert = _OrbitSearch(phi, bounds).run(y1, y2)
+        if bounds not in phi._searches:
+            phi._searches[bounds] = _OrbitSearch(phi, bounds)
+        cert = phi._searches[bounds].run(y1, y2)
         if cert is None:
             return DecisionResult("unknown", bounds=bounds)
         res = DecisionResult("equal", certificate=cert)

@@ -6,11 +6,13 @@ rings map to exactly canonicalized classes of the target, and membership
 questions in the pushed relation lattice are decided by a row Hermite
 normal form over arbitrary-precision integers, kept on sparse rows
 {column: nonzero entry}: one insertion pass over the relations and their
-transform decides membership and yields a small integer combination
-(`lattice_member`).  The same Hermite basis, of the lattice that the
-moduli and the images of the ring context's `sides` span, keys every
-pushed class by its reduction (`_reduce`, zero exactly on the lattice),
-and where it has full rank gives one offset per class (`PushedContext`).
+transform builds a `Lattice`, once per relation list, and each membership
+test then reduces only its own vector, yielding a small integer
+combination (`lattice_member`).  The same Hermite basis, of the lattice
+that the moduli and the images of the ring context's `sides` span, keys
+every pushed class by its reduction (`_reduce`, zero exactly on the
+lattice), and where it has full rank gives one offset per class
+(`PushedContext`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import functools
 import heapq
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import cosets as R
@@ -118,43 +121,73 @@ def _insert(basis, row):
             done = cj
 
 
+class Lattice(Sequence):
+    """The span of sparse relation vectors, prepared once for any number of
+    membership tests (`lattice_member`); a sequence of its relations.
+
+    Keys are the columns 0..n-1, in first-occurrence order over the
+    relations.  One insertion pass builds the Hermite basis of [R | I] over
+    the kept relations, those that enlarge the lattice spanned by the ones
+    before them (a skipped relation gets coefficient 0): its rows with
+    pivots among the keys decide membership, and its rows with pivots in
+    the transform columns, at `kernel`, are the Hermite basis of the
+    kernel.  A membership test reduces only its own vector: the basis is
+    never changed after the pass.
+    """
+
+    def __init__(self, relations):
+        self.relations = tuple(relations)
+        self.index = {k: i for i, k in enumerate(dict.fromkeys(itertools.chain(*self.relations)))}
+        n = len(self.index)
+        self.basis, self.kept = {}, []
+        for j, rel in enumerate(self.relations):
+            row = {self.index[k]: c for k, c in rel.items() if c}
+            row[n + len(self.kept)] = 1
+            if _descend(self.basis, row, n) is not None:
+                _insert(self.basis, row)
+                self.kept.append(j)
+        self.kernel = sorted(col for col in self.basis if col >= n)
+
+    def __getitem__(self, i):
+        return self.relations[i]
+
+    def __len__(self):
+        return len(self.relations)
+
+
 def lattice_member(relations, coeffs: dict):
-    """Membership of a sparse vector in the span of sparse relation vectors.
+    """Membership of a sparse vector in the span of sparse relation vectors,
+    given as a sequence or as a prebuilt `Lattice`.
 
     Returns the integer combination or None.  Total: combinations cannot
-    leave the union of supports, so restricting there is exact.  Keys are
-    the columns 0..n-1, in first-occurrence order.  One insertion pass
-    builds the Hermite basis of [R | I] over the kept relations, those that
-    enlarge the lattice spanned by the ones before them (a skipped relation
-    gets coefficient 0): its rows with pivots among the keys decide
-    membership, and reducing the vector down them leaves minus a solution
-    in the transform columns.  The rows with pivots there are the Hermite
-    basis of the kernel; size-reducing against them leaves every kernel
-    pivot coordinate in the centered range of its pivot, which keeps the
+    leave the union of supports, so a vector with a key outside the
+    relations' keys is no member, and restricting to them is exact.
+    Reducing the vector down the key pivots of the Hermite basis of
+    [R | I] leaves minus a solution in the transform columns;
+    size-reducing it against the kernel rows leaves every kernel pivot
+    coordinate in the centered range of its pivot, which keeps the
     coefficients small and makes the combination unique in its box.  Which
     relations are kept, the kernel basis in relation coordinates, and so
     the combination do not depend on the key order.
     """
-    index = {k: i for i, k in enumerate(dict.fromkeys(itertools.chain(*relations, coeffs)))}
-    n = len(index)
-    basis, kept = {}, []
-    for j, rel in enumerate(relations):
-        row = {index[k]: c for k, c in rel.items() if c}
-        row[n + len(kept)] = 1
-        if _descend(basis, row, n) is not None:
-            _insert(basis, row)
-            kept.append(j)
-    v = {index[k]: c for k, c in coeffs.items() if c}
-    if _descend(basis, v, n) is not None:
+    lat = relations if isinstance(relations, Lattice) else Lattice(relations)
+    index, n = lat.index, len(lat.index)
+    v = {}
+    for k, c in coeffs.items():
+        if c:
+            if k not in index:
+                return None
+            v[index[k]] = c
+    if _descend(lat.basis, v, n) is not None:
         return None
     c = {j: -a for j, a in v.items()}
-    for col in sorted(col for col in basis if col >= n):
-        u = basis[col]
+    for col in lat.kernel:
+        u = lat.basis[col]
         if q := (2 * c.get(col, 0) + u[col]) // (2 * u[col]):
             _minus(c, u, q)
-    out = [0] * len(relations)
+    out = [0] * len(lat)
     for j, a in c.items():
-        out[kept[j - n]] = a
+        out[lat.kept[j - n]] = a
     return out
 
 
@@ -284,8 +317,11 @@ class PushedContext:
                 acc[pk] = acc.get(pk, 0) + c
         return {k: v for k, v in acc.items() if v}
 
+    def push_value(self, y: R.RingElement) -> dict:
+        """Vector of a value of the context over pushed classes."""
+        return self.push([(self.sep.image(g), c) for g, c in y.terms], (0,) * self.sep.dim)
+
 
 def push_forward(sep: Separator, y: R.RingElement) -> dict:
     """Vector of y over pushed coset classes of the separator target."""
-    terms = [(sep.image(g), c) for g, c in y.terms]
-    return PushedContext(sep, y.context).push(terms, (0,) * sep.dim)
+    return PushedContext(sep, y.context).push_value(y)

@@ -5,7 +5,8 @@
 one scenario per family, for each workload, fails here when one of those
 names goes missing, instead of only in a benchmark run.  Each row's
 deciding stage, as `bench/worker.py` attributes it (through
-`_abelian_applicable`), is one its workload is built to exercise.
+`_abelian_applicable`), is one its workload is built to exercise, and
+the lattice layer's traced counters are live on both workloads.
 """
 
 import pathlib
@@ -32,4 +33,7 @@ def test_traced_worker_runs_clean(workload):
         assert row["error"] is None, row
         assert not row["mismatch"], row
         assert row["stage"] in STAGES[workload], row
-    assert out["layers"]
+    # the tracer counts these through module and class attributes, so a
+    # lattice stage that went round them would read zero here
+    assert out["layers"]["separators.lattice_member.calls"] > 0
+    assert out["layers"]["separators.push.calls"] > 0

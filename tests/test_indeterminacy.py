@@ -719,6 +719,14 @@ def _random_pair(rng, phi):
     return y1, y2
 
 
+def _orbit_hit(phi, sep, pc, offsets, y1, y2):
+    """The orbit lattice's hit for y1 and y2 in sep's image over the given
+    offsets: its relations built, then its shifts scanned."""
+    relations = I._orbit_relations(phi, sep.image, pc.push, offsets)
+    lattice = SEP.Lattice([r for r, _, _ in relations])
+    return I._orbit_hit(phi, sep.image, pc.push, offsets, lattice, y1, y2)
+
+
 @pytest.mark.parametrize("spec", [FREE2, S.free_times_z("x", "y", "t"), PROD],
                          ids=["free2", "free_times_z", "product"])
 def test_orbit_lattice_over_offsets_matches_all_target_elements(spec):
@@ -735,9 +743,8 @@ def test_orbit_lattice_over_offsets_matches_all_target_elements(spec):
             sep = SEP.cyclic_separator(spec, m)
             pc = SEP.PushedContext(sep, phi.context)
             every = list(itertools.product(range(m), repeat=sep.dim))
-            hit = I._orbit_lattice(phi, sep.image, pc.push, every, y1, y2)[1] is not None
-            assert (I._orbit_lattice(phi, sep.image, pc.push, pc.offsets(), y1, y2)[1]
-                    is not None) == hit
+            hit = _orbit_hit(phi, sep, pc, every, y1, y2) is not None
+            assert (_orbit_hit(phi, sep, pc, pc.offsets(), y1, y2) is not None) == hit
             hits += hit
             misses += not hit
     assert hits >= 10 and misses >= 10
@@ -755,8 +762,8 @@ def test_modn_separators_hit_where_the_abelianization_hits(spec):
         phi = _random_presentation(rng, spec, "knot")
         y1, y2 = _random_pair(rng, phi)
         suite = SEP.default_separator_suite(spec)
-        found = [I._orbit_lattice(phi, sep.image, SEP.PushedContext(sep, phi.context).push,
-                                  [(0,) * sep.dim], y1, y2)[1] is not None for sep in suite]
+        found = [_orbit_hit(phi, sep, SEP.PushedContext(sep, phi.context), [(0,) * sep.dim],
+                            y1, y2) is not None for sep in suite]
         if found[0]:
             hits += 1
             assert all(found)
@@ -845,8 +852,7 @@ def test_rank1_sphere_scenarios_decide_with_small_certificates(n):
 
     sep = SEP.abelianization(AB1)
     pc = SEP.PushedContext(sep, ctx)
-    zero = R.zero(ctx)
-    n_gens = len(I._orbit_lattice(phi, sep.image, pc.push, pc.offsets(), zero, zero)[0])
+    n_gens = len(I._orbit_relations(phi, sep.image, pc.push, pc.offsets()))
     # the helper's relations are the distinct non-zero definitional ones
     assert n_gens == len({r.terms for r in rels if r})
     for q in range(6):

@@ -393,6 +393,39 @@ def test_lattice_member_matches_the_old_dense_layer():
     assert 1000 < found < 2000
 
 
+def test_a_prebuilt_lattice_answers_like_the_old_dense_layer():
+    """One `Lattice` answers many targets, members, non-members and targets
+    with keys outside the relations' support, each exactly as the dense
+    oracle does on the relation list, and is left unchanged by them."""
+    rng = random.Random(608)
+    outside = found = 0
+    for _ in range(300):
+        keys = [f"k{i}" for i in range(rng.randint(1, 6))]
+        relations = [{k: rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+                      for k in rng.sample(keys, rng.randint(1, len(keys)))}
+                     for _ in range(rng.randint(0, 6))]
+        if relations and rng.random() < 0.3:      # a redundant relation
+            a, b = rng.choice(relations), rng.choice(relations)
+            relations.append({k: 2 * a.get(k, 0) - b.get(k, 0) for k in keys})
+        lattice = SEP.Lattice(relations)
+        assert list(lattice) == relations and len(lattice) == len(relations)
+        basis = {c: dict(row) for c, row in lattice.basis.items()}
+        for t in range(8):
+            if t % 2:
+                target = {k: sum(rng.randint(-5, 5) * r.get(k, 0) for r in relations)
+                          for k in keys}
+            else:
+                target = {k: rng.randint(-9, 9) for k in rng.sample(keys, rng.randint(0, len(keys)))}
+            if t % 4 == 3:      # a key no relation has, at 0 or not
+                target["new"] = rng.choice((0, 0, 1, -2))
+            expected = _old_dense_member(relations, target)
+            assert SEP.lattice_member(lattice, target) == expected, (relations, target)
+            found += expected is not None
+            outside += target.get("new", 0) != 0 and expected is None
+        assert lattice.basis == basis
+    assert found > 600 and outside > 100
+
+
 # ---------------------------------------------------------------------------
 # separators
 
