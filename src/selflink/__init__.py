@@ -24,7 +24,7 @@ from .groups import (GroupElement, GroupSpec, all_generators,
                      multiply, parse_word, power, shortlex_key, shortlex_min)
 from .indeterminacy import (Bounds, Certificate, DecisionResult, PhiGen,
                             PhiGroup, act, act_inverse, build_phi,
-                            build_phi_link, decide_equal, decide_equal_link,
+                            build_phi_link, decide_equal,
                             is_spherical_presented, phi_conjugation_only,
                             replay)
 from .linking import (Knot, LinkTrace, SphereData, Trace, compose, connect_sum,

@@ -24,16 +24,17 @@ pipeline for knots and links:
   * Unknown otherwise, reporting the bounds exhausted.
 
 In an abelian image the orbit of a value is a union of lattice cosets, one
-per outer shift; _orbit_relations builds the lattice and _orbit_hit scans
-the shifts.  One stage, _lattice_stage, runs it in each separator's image
-in turn, where a miss is Distinct.  In the abelianization of an abelian
-group, whose pushed classes are the ring's classes, it decides exactly
-wherever the key group is finite, a hit becoming the Equal certificate.
+per outer shift.  A _Turn holds that lattice in one separator's image (its
+relations, built once) and scans the shifts for a hit.  One stage,
+_lattice_stage, loops over the turns the presentation chose, where a miss
+is Distinct.  In the abelianization of an abelian group, whose pushed
+classes are the ring's classes, the turn is exact wherever the key group
+is finite (_Turn.exact), a hit becoming the Equal certificate.
 
 Everything that depends on Phi alone is built once per presentation, the
-first time a query needs it, and kept on the PhiGroup: each separator's
-turn (its pushed context, offsets, relations and their Hermite basis) and
-the orbit searcher per Bounds (its conjugated toroidal generators, sphere
+first time a query needs it, and kept on the PhiGroup: the turns (each its
+pushed context, offsets, relations and their Hermite basis) and the orbit
+searcher per Bounds (its conjugated toroidal generators, sphere
 translates, and the goal translates of the class keys it has met).  A
 query pushes, reduces and searches only from its own two values.
 
@@ -98,10 +99,16 @@ class PhiGroup:
     sided_spheres: tuple[tuple[L.SphereData, bool], ...]
 
     @functools.cached_property
-    def _turns(self) -> list:
-        """The lattice stage's turns, one per separator of the suite in
-        order, each appended when a query first reaches it."""
-        return []
+    def _turns(self) -> tuple:
+        """The lattice stage's turns, chosen once, in suite order.  With
+        offsets enumerated (a link's biaction, or sphere families), every
+        finite target runs, and the abelianization where it is exact;
+        otherwise the abelianization alone, as a `modN` lattice hits where
+        Z does.  A turn builds its parts when a query first needs them."""
+        abel, *finite = (_Turn(self, sep) for sep in S.default_separator_suite(self.context.spec))
+        if not _enumerates(self):
+            return (abel,)
+        return ((abel,) if abel.exact else ()) + tuple(finite)
 
     @functools.cached_property
     def _searches(self) -> dict:
@@ -341,64 +348,12 @@ def _difference(a: dict, b: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the orbit lattice in an abelian image
-
-
-def _mover(image, push, pairs):
-    """The map from an offset to the class vector of the (word,
-    coefficient) pairs, each image translated by the offset."""
-    return functools.partial(push, [(image(w), c) for w, c in pairs])
-
-
-def _shifts(phi, offsets):
-    """The outer shifts of an orbit lattice: every offset under a link's
-    biaction, else the trivial one."""
-    return offsets if _shifts_keys(phi) else offsets[:1]
-
-
-def _orbit_relations(phi, image, push, offsets):
-    """The relations of the orbit lattice of Phi in an abelian image, as
-    (vector, source, offset) first occurrences in order.  image maps words;
-    push maps (image, coefficient) terms, each translated by an offset, to
-    a class vector.  Toroidal offsets move only under a link's biaction,
-    sphere families under every offset."""
-    shifts = _shifts(phi, offsets)
-    families = [(g, _mover(image, push, g.z.terms), shifts) for g in phi.toroidal if g.z]
-    families += [(sph, _mover(image, push, ((p, s) for s, p in sph.points)), offsets)
-                 for sph, _ in phi.sided_spheres]
-    relations = {}
-    for src, move, moves in families:
-        for t in moves:
-            if rel := move(t):
-                relations.setdefault(frozenset(rel.items()), (rel, src, t))
-    return list(relations.values())
-
-
-def _orbit_hit(phi, image, push, offsets, lattice, y1, y2):
-    """(shift, coefficients) for the first outer shift of y2 whose
-    difference from y1 is in the lattice of the orbit relations, or None."""
-    v1, move2 = _mover(image, push, y1.terms)(offsets[0]), _mover(image, push, y2.terms)
-    for t in _shifts(phi, offsets):
-        coeffs = S.lattice_member(lattice, _difference(v1, move2(t)))
-        if coeffs is not None:
-            return t, coeffs
-    return None
-
-
-# ---------------------------------------------------------------------------
 # the lattice stage
 
 
-def _abelian_applicable(phi: PhiGroup, pc: S.PushedContext | None = None) -> bool:
-    """The abelianization's orbit lattice decides exactly: the group is
-    abelian, and every key translation ranges over a finite key group, as
-    nothing is enumerated or its L (pc, built when not given) has full rank."""
-    ctx = phi.context
-    if ctx.spec.kind != G.FREE_ABELIAN:
-        return False
-    if not _enumerates(phi):
-        return True
-    return (pc or S.PushedContext(S.abelianization(ctx.spec), ctx)).finite
+def _abelian_applicable(phi: PhiGroup) -> bool:
+    """Whether one of the presentation's lattice turns decides exactly."""
+    return any(t.exact for t in phi._turns)
 
 
 def _abelian_certificate(phi, relations, hit) -> Certificate:
@@ -433,52 +388,81 @@ def _abelian_certificate(phi, relations, hit) -> Certificate:
 
 class _Turn:
     """One separator's turn of the lattice stage on a presentation: its
-    pushed context, whether it decides exactly, and, built on first use,
-    its offsets, its orbit relations and their Lattice.  A query pushes
-    only its own two values."""
+    pushed context, whether it decides exactly, its offsets and outer
+    shifts, and the orbit relations and their Lattice, each built on first
+    use.  A query pushes only its own two values."""
 
     def __init__(self, phi: PhiGroup, sep: S.Separator):
         self.phi, self.sep = phi, sep
-        self.pc = S.PushedContext(sep, phi.context)
-        self.exact = not sep.target_finite and _abelian_applicable(phi, self.pc)
+
+    @functools.cached_property
+    def pc(self) -> S.PushedContext:
+        return S.PushedContext(self.sep, self.phi.context)
+
+    @functools.cached_property
+    def exact(self) -> bool:
+        """The abelianization's orbit lattice decides exactly: the group is
+        abelian, and every key translation ranges over a finite key group,
+        as nothing is enumerated or the pushed context's L has full rank."""
+        return (not self.sep.target_finite and self.phi.context.spec.kind == G.FREE_ABELIAN
+                and (not _enumerates(self.phi) or self.pc.finite))
 
     @functools.cached_property
     def offsets(self) -> list:
         return self.pc.offsets() if _enumerates(self.phi) else [(0,) * self.sep.dim]
 
     @functools.cached_property
+    def shifts(self) -> list:
+        """The outer shifts: every offset under a link's biaction, else the
+        trivial one."""
+        return self.offsets if _shifts_keys(self.phi) else self.offsets[:1]
+
+    def _mover(self, pairs):
+        """The map from an offset to the class vector of the (word,
+        coefficient) pairs, each image translated by the offset."""
+        return functools.partial(self.pc.push, [(self.sep.image(w), c) for w, c in pairs])
+
+    @functools.cached_property
     def relations(self) -> list:
-        return _orbit_relations(self.phi, self.sep.image, self.pc.push, self.offsets)
+        """The relations of the orbit lattice of Phi in the separator's
+        image, as (vector, source, offset) first occurrences in order.
+        Toroidal offsets move only under a link's biaction, sphere families
+        under every offset."""
+        phi = self.phi
+        families = [(g, self._mover(g.z.terms), self.shifts) for g in phi.toroidal if g.z]
+        families += [(sph, self._mover((p, s) for s, p in sph.points), self.offsets)
+                     for sph, _ in phi.sided_spheres]
+        relations = {}
+        for src, move, moves in families:
+            for t in moves:
+                if rel := move(t):
+                    relations.setdefault(frozenset(rel.items()), (rel, src, t))
+        return list(relations.values())
 
     @functools.cached_property
     def lattice(self) -> S.Lattice:
         return S.Lattice([r for r, _, _ in self.relations])
 
     def hit(self, y1, y2):
-        return _orbit_hit(self.phi, self.sep.image, self.pc.push, self.offsets,
-                          self.lattice, y1, y2)
+        """(shift, coefficients) for the first outer shift of y2 whose
+        difference from y1 is in the orbit lattice, or None."""
+        v1, move2 = self._mover(y1.terms)(self.offsets[0]), self._mover(y2.terms)
+        for t in self.shifts:
+            coeffs = S.lattice_member(self.lattice, _difference(v1, move2(t)))
+            if coeffs is not None:
+                return t, coeffs
+        return None
 
 
 def _lattice_stage(y1, y2, phi, max_states) -> DecisionResult | None:
-    """The suite's orbit lattices in order: a separator's miss is Distinct
-    and its hit abstains, but where `_abelian_applicable` the
-    abelianization decides exactly, a hit Equal and a miss the
-    `abelian-lattice` Distinct.  With offsets enumerated (a link's
-    biaction, or sphere families), the finite targets and the exact
-    abelianization run over one offset per key class, and a turn with more
-    than max_states classes abstains; otherwise only the abelianization
-    runs, as a `modN` lattice hits where Z does.  Turns are kept on phi,
-    so each is built by the first query that reaches it."""
+    """The presentation's turns in order: a separator's miss is Distinct
+    and its hit abstains, but an exact turn decides, a hit Equal and a
+    miss the `abelian-lattice` Distinct.  Where offsets are enumerated, a
+    turn with more than max_states key classes abstains before it lists
+    them."""
     enumerates = _enumerates(phi)
-    turns = phi._turns
-    for i, sep in enumerate(S.default_separator_suite(phi.context.spec)):
-        if sep.target_finite and not enumerates:
-            break
-        if i == len(turns):
-            turns.append(_Turn(phi, sep))
-        turn = turns[i]
-        if enumerates and (not (sep.target_finite or turn.exact)
-                           or turn.pc.classes > max_states):
+    for turn in phi._turns:
+        if enumerates and turn.pc.classes > max_states:
             continue
         hit = turn.hit(y1, y2)
         if turn.exact and hit is not None:
@@ -488,7 +472,7 @@ def _lattice_stage(y1, y2, phi, max_states) -> DecisionResult | None:
             return DecisionResult("distinct", separator="abelian-lattice",
                                   values=(R.format_ring(y1), R.format_ring(y2)))
         if hit is None:
-            return DecisionResult("distinct", separator=sep.name, values=tuple(
+            return DecisionResult("distinct", separator=turn.sep.name, values=tuple(
                 tuple(sorted(turn.pc.push_value(y).items())) for y in (y1, y2)))
     return None
 
@@ -617,14 +601,12 @@ class _OrbitSearch:
         # forward: states reachable from y2; value = (parent, gen, dir)
         fwd: dict[R.RingElement, tuple] = {y2: None}
         # backward: states s with a known path s -> c y1 for an outer
-        # conjugator c; value = (child, gen, dir, c) with child one step
-        # closer to c y1
+        # conjugator c; value = (child, gen, dir) with child one step closer
+        # to c y1, or (None, c) at the seed c y1
         bwd: dict[R.RingElement, tuple] = {}
         for c in itertools.product(*(_ball(self.ctx.spec, zs, radius, cap=cap)
                                      for zs in self.phi.zetas)):
-            s = _outer(c, y1)
-            if s not in bwd:
-                bwd[s] = (None, None, 0, c)
+            bwd.setdefault(_outer(c, y1), (None, c))
         ffrontier, bfrontier = list(fwd), list(bwd)
         fdepth = bdepth = 0
         # every later meet is caught when its state is inserted
@@ -639,7 +621,7 @@ class _OrbitSearch:
                     if ns in src or not self._admissible(ns, term_cap):
                         continue
                     # a backward edge ns -> state applies gen with direction -d
-                    src[ns] = (state, gen, d) if expand_fwd else (state, gen, -d, src[state][3])
+                    src[ns] = (state, gen, d if expand_fwd else -d)
                     nxt.append(ns)
                     if ns in other:
                         m = ns
@@ -665,11 +647,11 @@ class _OrbitSearch:
             cur = parent
         steps.reverse()
         # backward half: m -> c y1
-        cur, c = m, bwd[m][3]
+        cur = m
         while bwd[cur][0] is not None:
-            child, gen, d, c = bwd[cur]
+            cur, gen, d = bwd[cur]
             steps.append((gen, d))
-            cur = child
+        c = bwd[cur][1]
         return Certificate(tuple(steps), tuple(G.invert(a) for a in c))
 
 

@@ -33,6 +33,12 @@ from .errors import (InvariantViolation, ParseError, SelfLinkError,
 _KINDS = {"free": G.free, "abelian": G.free_abelian,
           "free_times_z": G.free_times_z}
 
+# the table and kind of each named declaration; phi and philink declare
+# presentations in one namespace
+_DECLARES = {"knot": ("knots", "knot"), "trace": ("traces", "trace"),
+             "sphere": ("spheres", "sphere"), "linktrace": ("linktraces", "linktrace"),
+             "phi": ("phis", "presentation"), "philink": ("phis", "presentation")}
+
 
 @dataclass
 class Scenario:
@@ -168,16 +174,20 @@ def _dispatch(scn: Scenario, tokens, line_no):
             raise ParseError(f"unknown group kind {kind!r}", line=line_no)
         return
     spec = _need_spec(scn, line_no)
+    if head not in _DECLARES:
+        raise ParseError(f"unknown declaration {head!r}", line=line_no)
+    table, kind = _DECLARES[head]
+    name = tokens[1]
+    if name in getattr(scn, table):
+        raise ParseError(f"{kind} {name!r} already declared", line=line_no)
 
     if head == "knot":
-        name = tokens[1]
         if tokens[2] != "=":
             raise ParseError("knot syntax: knot <name> = <word>", line=line_no)
         scn.knots[name] = L.Knot(name, _word(spec, tokens[3:], line_no))
 
     elif head == "trace":
         # trace h : k -> k latitude <word> points ( + w )...
-        name = tokens[1]
         if tokens[2] != ":" or tokens[4] != "->":
             raise ParseError("trace syntax: trace <name> : <knot> -> <knot> "
                              "latitude <word> points ...", line=line_no)
@@ -197,7 +207,6 @@ def _dispatch(scn: Scenario, tokens, line_no):
             raise InvariantViolation(f"line {line_no}: {e}") from e
 
     elif head == "sphere":
-        name = tokens[1]
         if tokens[2] == "unlink":
             k = _require(scn, scn.knots, tokens[3], "knot", line_no)
             scn.spheres[name] = L.SphereData(name, L.sphere_for_unlink_complement(k.gamma).points)
@@ -209,7 +218,6 @@ def _dispatch(scn: Scenario, tokens, line_no):
 
     elif head == "linktrace":
         # linktrace lt : h1 h2 cross ( + w )...
-        name = tokens[1]
         if tokens[2] != ":":
             raise ParseError("linktrace syntax: linktrace <name> : <trace> <trace> cross ...",
                              line=line_no)
@@ -225,11 +233,7 @@ def _dispatch(scn: Scenario, tokens, line_no):
         except SelfLinkError as e:
             raise InvariantViolation(f"line {line_no}: {e}") from e
 
-    elif head in ("phi", "philink"):
-        # phi and philink declare presentations in one namespace
-        name = tokens[1]
-        if name in scn.phis:
-            raise ParseError(f"presentation {name!r} already declared", line=line_no)
+    else:  # phi or philink
 
         def named(table, what, names):
             return [_require(scn, table, n, what, line_no) for n in names]
@@ -257,9 +261,6 @@ def _dispatch(scn: Scenario, tokens, line_no):
             raise
         except SelfLinkError as e:
             raise InvariantViolation(f"line {line_no}: {e}") from e
-
-    else:
-        raise ParseError(f"unknown declaration {head!r}", line=line_no)
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,9 @@ class Lattice(Sequence):
         return len(self.relations)
 
 
-def lattice_member(relations, coeffs: dict):
-    """Membership of a sparse vector in the span of sparse relation vectors,
-    given as a sequence or as a prebuilt `Lattice`.
+def lattice_member(lat: Lattice, coeffs: dict):
+    """Membership of a sparse vector in the `Lattice` of sparse relation
+    vectors.
 
     Returns the integer combination or None.  Total: combinations cannot
     leave the union of supports, so a vector with a key outside the
@@ -170,7 +170,6 @@ def lattice_member(relations, coeffs: dict):
     relations are kept, the kernel basis in relation coordinates, and so
     the combination do not depend on the key order.
     """
-    lat = relations if isinstance(relations, Lattice) else Lattice(relations)
     index, n = lat.index, len(lat.index)
     v = {}
     for k, c in coeffs.items():

@@ -1,9 +1,9 @@
 """Decision state built once per presentation, and reused soundly.
 
-A PhiGroup keeps what `decide_equal` derives from Phi alone: each lattice
-turn (pushed context, offsets, relations and their Hermite basis), built
-the first time a query reaches its separator, and one orbit searcher per
-Bounds.  No verdict, certificate or printed value may depend on which
+A PhiGroup keeps what `decide_equal` derives from Phi alone: its lattice
+turns, chosen once, each part of a turn (pushed context, offsets,
+relations and their Hermite basis) built the first time a query needs
+it, and one orbit searcher per Bounds.  No verdict, certificate or printed value may depend on which
 queries ran on the presentation before, and a later query may construct
 none of that state again.
 """
@@ -15,6 +15,7 @@ from importlib import resources
 
 import pytest
 
+import selflink.groups as G
 import selflink.indeterminacy as I
 import selflink.scenario as SC
 import selflink.separators as SEP
@@ -53,13 +54,15 @@ SCENARIOS = {**_bundled(), **_generated()}
 
 def _built_state(scn):
     """Deep copies of every built turn's relation vectors, pushed-context
-    rows and Hermite basis rows, per presentation."""
+    rows and Hermite basis rows, per presentation; read through vars, as
+    reading an unbuilt part would build it."""
     out = {}
     for name, phi in scn.phis.items():
         for i, turn in enumerate(phi.__dict__.get("_turns", ())):
             built = vars(turn)
             out[name, i] = copy.deepcopy((
-                turn.pc._rows, [r for r, _, _ in built.get("relations", ())],
+                built["pc"]._rows if "pc" in built else None,
+                [r for r, _, _ in built.get("relations", ())],
                 built["lattice"].basis if "lattice" in built else None))
     return out
 
@@ -139,13 +142,42 @@ phi P knot k toroidal lat spheres sigma
 
 def test_an_early_distinct_builds_no_later_turn(monkeypatch):
     """A Distinct from mod2, the first finite separator, leaves the turns
-    after it unbuilt: the abelianization's and mod2's are the only ones."""
+    after it unbuilt, and a free group's abelianization turn, which cannot
+    be exact, builds nothing: mod2's pushed context and lattice are the
+    only ones."""
     counts = _counting(monkeypatch)
     scn = SC.parse_scenario(FREE_SPHERE_SCN)
     rec = SC.execute_query(scn, ["decide", "+1*[x]", "0", "P"], I.Bounds())
     assert (rec["verdict"], rec["separator"]) == ("distinct", "mod2")
-    assert counts["pc"] == len(scn.phis["P"]._turns) == 2
+    assert counts["pc"] == counts["lattice"] == 1
+    for part in ("pc", "lattice"):
+        assert [t.sep.name for t in scn.phis["P"]._turns if part in vars(t)] == ["mod2"]
     assert counts["search"] == 0
+
+
+def _old_abelian_applicable(phi):
+    """The exactness rule as it stood before the turns owned it: the group
+    is free abelian, and nothing is enumerated (no link biaction, no sphere
+    family) or the abelianization's pushed context is finite."""
+    ctx = phi.context
+    if ctx.spec.kind != G.FREE_ABELIAN:
+        return False
+    if len(phi.zetas) == 1 and not phi.sided_spheres:
+        return True
+    return SEP.PushedContext(SEP.abelianization(ctx.spec), ctx).finite
+
+
+def test_abelian_applicable_keeps_the_old_rule():
+    """`_abelian_applicable`, by which the bench attributes an Equal to the
+    abelian lattice stage, agrees with the old rule on every presentation
+    of the scenarios above, and both answers occur."""
+    seen = set()
+    for text in SCENARIOS.values():
+        for phi in SC.parse_scenario(text).phis.values():
+            applicable = I._abelian_applicable(phi)
+            assert applicable == _old_abelian_applicable(phi)
+            seen.add(applicable)
+    assert seen == {True, False}
 
 
 HUGE_KEY_GROUP_SCN = """\

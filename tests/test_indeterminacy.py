@@ -568,10 +568,10 @@ def test_link_decide_shift_equivalence():
     phi, ctx = _link_setting()
     y1 = R.parse_ring(ctx, "+1*[x]")
     y2 = R.parse_ring(ctx, "+1*[1]")
-    res = I.decide_equal_link(y1, y2, phi)
+    res = I.decide_equal(y1, y2, phi)
     assert res.verdict == "equal"
     assert I.replay(res.certificate, y1, y2)
-    res2 = I.decide_equal_link(y1, R.parse_ring(ctx, "+2*[x]"), phi)
+    res2 = I.decide_equal(y1, R.parse_ring(ctx, "+2*[x]"), phi)
     assert res2.verdict == "distinct"
 
 
@@ -582,7 +582,7 @@ def test_link_decide_monotone():
     for a, b in pairs:
         y1 = R.parse_ring(ctx, a)
         y2 = R.parse_ring(ctx, b)
-        verdicts = [I.decide_equal_link(y1, y2, phi, bd).verdict
+        verdicts = [I.decide_equal(y1, y2, phi, bd).verdict
                     for bd in _bounds_ladder()]
         settled = {v for v in verdicts if v != "unknown"}
         assert len(settled) <= 1
@@ -635,7 +635,7 @@ def test_free_link_search_certifies_one_move(move, family, direction):
     y2 = R.parse_ring(phi.context, "+1*[y]")
     y1 = _free_link_move(phi, move, y2)
     assert y1 != y2
-    res = I.decide_equal_link(y1, y2, phi)
+    res = I.decide_equal(y1, y2, phi)
     assert res.verdict == "equal"
     assert len(res.certificate.conjugator) == 2
     assert I.replay(res.certificate, y1, y2)
@@ -647,7 +647,7 @@ def test_free_link_separator_distinct():
     phi = _free_link_phi(cross=False)
     y1 = R.parse_ring(phi.context, "+1*[y]")
     y2 = R.parse_ring(phi.context, "+2*[y]")
-    res = I.decide_equal_link(y1, y2, phi)
+    res = I.decide_equal(y1, y2, phi)
     assert (res.verdict, res.separator) == ("distinct", "mod2")
     assert res.values == ((((0, 0), 1),), (((0, 0), 2),))
 
@@ -721,10 +721,11 @@ def _random_pair(rng, phi):
 
 def _orbit_hit(phi, sep, pc, offsets, y1, y2):
     """The orbit lattice's hit for y1 and y2 in sep's image over the given
-    offsets: its relations built, then its shifts scanned."""
-    relations = I._orbit_relations(phi, sep.image, pc.push, offsets)
-    lattice = SEP.Lattice([r for r, _, _ in relations])
-    return I._orbit_hit(phi, sep.image, pc.push, offsets, lattice, y1, y2)
+    offsets: a turn with its pushed context and offsets set on the
+    instance builds its relations, then scans its shifts."""
+    turn = I._Turn(phi, sep)
+    turn.pc, turn.offsets = pc, offsets
+    return turn.hit(y1, y2)
 
 
 @pytest.mark.parametrize("spec", [FREE2, S.free_times_z("x", "y", "t"), PROD],
@@ -850,9 +851,7 @@ def test_rank1_sphere_scenarios_decide_with_small_certificates(n):
         R.from_terms(ctx, [(S.multiply(S.power(x, t), p), s) for s, p in sph])
         for t in range(n)]
 
-    sep = SEP.abelianization(AB1)
-    pc = SEP.PushedContext(sep, ctx)
-    n_gens = len(I._orbit_relations(phi, sep.image, pc.push, pc.offsets()))
+    n_gens = len(I._Turn(phi, SEP.abelianization(AB1)).relations)
     # the helper's relations are the distinct non-zero definitional ones
     assert n_gens == len({r.terms for r in rels if r})
     for q in range(6):

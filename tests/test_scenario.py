@@ -83,6 +83,20 @@ def test_repeated_presentation_name_is_a_parse_error(first, second):
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("line, kind, name", [
+    ("knot k = x", "knot", "k"),
+    ("trace a : k -> k latitude 1", "trace", "a"),
+    ("sphere s points ( + x )", "sphere", "s"),
+    ("linktrace l : b a", "linktrace", "l"),
+], ids=["knot", "trace", "sphere", "linktrace"])
+def test_repeated_name_is_a_parse_error(line, kind, name):
+    """A second declaration of a name would silently replace the entity
+    that earlier lines refer to; every kind refuses it."""
+    text = DECLS + "sphere s points ( + 1 ) ( - x )\n" + line + "\n"
+    with pytest.raises(ParseError, match=f"line 7: {kind} '{name}' already declared"):
+        parse_scenario(text)
+
+
 @pytest.mark.parametrize("tokens", [
     ["normalize"],
     ["canon", "k"],

@@ -99,7 +99,8 @@ def test_hnf_known_values():
 def _lattice_solve(A, v):
     """Integer coefficients c with A*c = v, or None: the columns of A are
     the relations over the row indices."""
-    return SEP.lattice_member([dict(enumerate(col)) for col in zip(*A)], dict(enumerate(v)))
+    return SEP.lattice_member(SEP.Lattice([dict(enumerate(col)) for col in zip(*A)]),
+                              dict(enumerate(v)))
 
 
 def test_lattice_solve_round_trip():
@@ -255,18 +256,18 @@ def test_sparse_membership_is_fast():
 def test_lattice_member_sparse():
     r1 = {"a": 1, "b": -1}
     r2 = {"b": 1, "c": -1}
-    assert SEP.lattice_member([r1, r2], {"a": 1, "c": -1}) is not None
-    assert SEP.lattice_member([r1, r2], {"a": 1}) is None
-    assert SEP.lattice_member([], {}) == []
+    assert SEP.lattice_member(SEP.Lattice([r1, r2]), {"a": 1, "c": -1}) is not None
+    assert SEP.lattice_member(SEP.Lattice([r1, r2]), {"a": 1}) is None
+    assert SEP.lattice_member(SEP.Lattice([]), {}) == []
 
 
 def test_quotient_decide_mod_structure():
     # single relation x + x^2 = 0 over basis (x, x^2): quotient Z x Z / <(1,1)>
     rel = {"x": 1, "x2": 1}
-    assert SEP.lattice_member([rel], {"x": 2, "x2": 2}) == [2]
-    assert SEP.lattice_member([rel], {"x": 1}) is None
+    assert SEP.lattice_member(SEP.Lattice([rel]), {"x": 2, "x2": 2}) == [2]
+    assert SEP.lattice_member(SEP.Lattice([rel]), {"x": 1}) is None
     # a redundant relation: the kernel reduction keeps the answer small
-    coeffs = SEP.lattice_member([{"x": 2}, {"x": 3}], {"x": 10 ** 12 + 1})
+    coeffs = SEP.lattice_member(SEP.Lattice([{"x": 2}, {"x": 3}]), {"x": 10 ** 12 + 1})
     assert 2 * coeffs[0] + 3 * coeffs[1] == 10 ** 12 + 1
     assert max(abs(k) for k in coeffs) < 10 ** 12
 
@@ -284,11 +285,12 @@ def test_lattice_member_ignores_key_order():
         if rng.random() < 0.7:
             target = {k: sum(rng.randint(-4, 4) * r.get(k, 0) for r in relations)
                       for k in keys}
-        expected = SEP.lattice_member(relations, target)
+        expected = SEP.lattice_member(SEP.Lattice(relations), target)
         for _ in range(4):
             order = rng.sample(keys, len(keys))
             shuffled = [{k: r[k] for k in order if k in r} for r in relations]
-            assert SEP.lattice_member(shuffled, {k: target[k] for k in order}) == expected
+            assert SEP.lattice_member(SEP.Lattice(shuffled),
+                                      {k: target[k] for k in order}) == expected
 
 
 def _old_dense_insert(basis, row):
@@ -388,7 +390,7 @@ def test_lattice_member_matches_the_old_dense_layer():
         relations = [{k: r[k] for k in order if k in r} for r in relations]
         target = {k: target[k] for k in order if k in target}
         expected = _old_dense_member(relations, target)
-        assert SEP.lattice_member(relations, target) == expected, (relations, target)
+        assert SEP.lattice_member(SEP.Lattice(relations), target) == expected, (relations, target)
         found += expected is not None
     assert 1000 < found < 2000
 
