@@ -47,9 +47,7 @@ def _build_parser():
                    help="exit 2 if any verdict is Unknown")
     p.add_argument("--strict-sign", action="store_true",
                    help="require explicitly signed coefficients in ring elements")
-    p.add_argument("command", choices=[
-        "normalize", "canon", "mu", "lambda", "relative", "decide",
-        "spherical", "run", "examples"])
+    p.add_argument("command", choices=[*SC._USAGE, "run", "examples"])
     p.add_argument("args", nargs="*")
     return p
 

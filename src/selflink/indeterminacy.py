@@ -34,9 +34,14 @@ is finite (_Turn.exact), a hit becoming the Equal certificate.
 Everything that depends on Phi alone is built once per presentation, the
 first time a query needs it, and kept on the PhiGroup: the turns (each its
 pushed context, offsets, relations and their Hermite basis) and the orbit
-searcher per Bounds (its conjugated toroidal generators, sphere
-translates, and the goal translates of the class keys it has met).  A
-query pushes, reduces and searches only from its own two values.
+searcher per Bounds (its outer conjugators, conjugated toroidal
+generators, sphere translates, and the goal translates of the class keys
+it has met).  A query pushes, reduces and searches only from its own two
+values.
+
+The search keeps one generator per action (z, parts), the first in its
+order: the conjugated toroidal generators once, and in each state every
+static generator and aligned sphere translate once.
 
 An outer conjugator is a tuple: (alpha,) conjugates a knot value, (alpha,
 beta) biacts a link value.
@@ -491,35 +496,44 @@ _SIZES = {
 }
 
 
-def _conjugated_toroidal(phi, ball, gen_cap):
-    """Toroidal generators conjugated by outer conjugators c, (c.z, c.parts),
-    dropping repeats and identities."""
-    spec = phi.context.spec
-    out = []
-    seen = set()
-    for c in itertools.product(*(_ball(spec, zs, ball[0], cap=ball[1]) for zs in phi.zetas)):
-        for g in phi.toroidal:
-            z = _outer(c, g.z)
-            parts = tuple(G.conjugate(p, a) for p, a in zip(g.parts, c))
-            key = (z, parts)
-            if key in seen or (not z and all(G.is_identity(p) for p in parts)):
-                continue
-            seen.add(key)
-            out.append(PhiGen(z, parts, f"conj[{g.provenance},"
-                                        f"{','.join(G.format_word(a) for a in c)}]"))
-            if len(out) == gen_cap:
-                return out
+def _conjugators(phi, radius, cap) -> list:
+    """The outer conjugators: the product of each factor's ball of
+    centralizer words, the identity first."""
+    return list(itertools.product(*(_ball(phi.context.spec, zs, radius, cap)
+                                    for zs in phi.zetas)))
+
+
+def _by_action(gens, base=None, cap=None) -> dict:
+    """The first generator per action (z, parts), after those of base, in
+    order; at most cap actions."""
+    out = dict(base or {})
+    for gen in gens:
+        out.setdefault((gen.z, gen.parts), gen)
+        if len(out) == cap:
+            break
     return out
+
+
+def _conjugated_toroidal(phi, ball, gen_cap) -> dict:
+    """Toroidal generators conjugated by outer conjugators c, (c.z, c.parts),
+    by action."""
+    return _by_action((PhiGen(_outer(c, g.z), tuple(G.conjugate(p, a) for p, a in zip(g.parts, c)),
+                              f"conj[{g.provenance},{','.join(G.format_word(a) for a in c)}]")
+                       for c in _conjugators(phi, *ball) for g in phi.toroidal), cap=gen_cap)
 
 
 class _OrbitSearch:
     """Meet-in-the-middle search over the Phi-orbit.
 
     Forward states grow from y2 under the generator action; backward states
-    grow from the outer conjugates of y1 under the inverse action.  Sphere
-    translates are generated goal-directed: for every class key in a state,
-    candidate translates align a sphere point with that key so the relation
-    can cancel it.  The smaller frontier is expanded each round.
+    grow from the seeds, the outer conjugates c y1, under the inverse
+    action.  The seeds' conjugators, the conjugated toroidal generators and
+    a sample of sphere translates are built once; more sphere translates
+    are generated goal-directed: for every class key in a state, candidate
+    translates align a sphere point with that key so the relation can
+    cancel it.  A state applies each action once, under the first
+    generator that has it.  The smaller frontier is expanded each round,
+    depth rounds in all.
     """
 
     def __init__(self, phi: PhiGroup, bounds: Bounds):
@@ -527,20 +541,16 @@ class _OrbitSearch:
         self.ctx = ctx = phi.context
         self.bounds = bounds
         spec = ctx.spec
-        conj_ball, gen_cap, self.seed_ball = _SIZES[len(phi.zetas)]
+        conj_ball, gen_cap, seed_ball = _SIZES[len(phi.zetas)]
+        self.seeds = _conjugators(phi, *seed_ball(bounds.depth))
         # static generators: conjugated toroidal ones plus a small
         # enumerated sample of sphere translates
-        static = _conjugated_toroidal(phi, conj_ball, gen_cap)
-        seen = set()
-        for t in _ball(spec, G.all_generators(spec), 2, cap=60):
-            if t.length() > bounds.translate_len:
-                continue
-            for sph, right in phi.sided_spheres:
-                z = _sphere_element(ctx, t, sph.points, right)
-                if z and z not in seen:
-                    seen.add(z)
-                    static.append(_translate_gen(phi, z, sph, t))
-        self.static_gens = static
+        translates = (_translate_gen(phi, z, sph, t)
+                      for t in _ball(spec, G.all_generators(spec), 2, cap=60)
+                      if t.length() <= bounds.translate_len
+                      for sph, right in phi.sided_spheres
+                      if (z := _sphere_element(ctx, t, sph.points, right)))
+        self.static = _by_action(translates, _conjugated_toroidal(phi, conj_ball, gen_cap))
         # goal translates are padded by the class word on the sphere's side
         self.pads = {right: [G.identity(spec)] + (
             [side, G.invert(side)] if side is not None and not G.is_identity(side) else [])
@@ -549,9 +559,9 @@ class _OrbitSearch:
         self.goals = {}
 
     def _goal_translates(self, key: G.GroupElement) -> list:
-        """Sphere translates aligned with one class key, as (t, right,
-        generator or None where the translate is 0), first occurrences in
-        order; memoized per key, the memo cleared past max_states keys."""
+        """The non-zero sphere translates aligned with one class key, first
+        occurrences of (sphere, t) in order; memoized per key, the memo
+        cleared past max_states keys."""
         out = self.goals.get(key)
         if out is not None:
             return out
@@ -559,29 +569,17 @@ class _OrbitSearch:
             self.goals.clear()
         out, seen = [], set()
         for u in (key, G.invert(key)) if self.inverts else (key,):
-            for sph, right in self.phi.sided_spheres:
+            for i, (sph, right) in enumerate(self.phi.sided_spheres):
                 for s, p in sph.points:
                     base = G.multiply(G.invert(p), u) if right else G.multiply(u, G.invert(p))
                     for pad in self.pads[right]:
                         t = G.multiply(base, pad) if right else G.multiply(pad, base)
-                        if t.length() > self.bounds.translate_len or (t, right) in seen:
+                        if t.length() > self.bounds.translate_len or (i, t) in seen:
                             continue
-                        seen.add((t, right))
-                        z = _sphere_element(self.ctx, t, sph.points, right)
-                        out.append((t, right, _translate_gen(self.phi, z, sph, t) if z else None))
+                        seen.add((i, t))
+                        if z := _sphere_element(self.ctx, t, sph.points, right):
+                            out.append(_translate_gen(self.phi, z, sph, t))
         self.goals[key] = out
-        return out
-
-    def _goal_gens(self, y: R.RingElement):
-        """Sphere translates aligned with the support of y."""
-        out = []
-        seen = set()
-        for key in y.support():
-            for t, right, gen in self._goal_translates(key):
-                if (t, right) not in seen:
-                    seen.add((t, right))
-                    if gen is not None:
-                        out.append(gen)
         return out
 
     def _admissible(self, y: R.RingElement, term_cap: int) -> bool:
@@ -589,7 +587,10 @@ class _OrbitSearch:
             k.length() <= self.bounds.support_len for k, _ in y.terms)
 
     def _neighbors(self, y: R.RingElement):
-        for gen in self.static_gens + self._goal_gens(y):
+        """Each action on y and its inverse, the static generators first,
+        then the translates aligned with the support of y."""
+        goal = itertools.chain.from_iterable(map(self._goal_translates, y.support()))
+        for gen in _by_action(goal, self.static).values():
             yield gen, 1, _step(gen, 1, y)
             yield gen, -1, _step(gen, -1, y)
 
@@ -597,62 +598,49 @@ class _OrbitSearch:
         """A Certificate carrying y2 to y1, or None within bounds."""
         b = self.bounds
         term_cap = len(y1.terms) + len(y2.terms) + 4
-        radius, cap = self.seed_ball(b.depth)
-        # forward: states reachable from y2; value = (parent, gen, dir)
-        fwd: dict[R.RingElement, tuple] = {y2: None}
-        # backward: states s with a known path s -> c y1 for an outer
-        # conjugator c; value = (child, gen, dir) with child one step closer
-        # to c y1, or (None, c) at the seed c y1
-        bwd: dict[R.RingElement, tuple] = {}
-        for c in itertools.product(*(_ball(self.ctx.spec, zs, radius, cap=cap)
-                                     for zs in self.phi.zetas)):
-            bwd.setdefault(_outer(c, y1), (None, c))
-        ffrontier, bfrontier = list(fwd), list(bwd)
-        fdepth = bdepth = 0
+        # the states reached per direction d: forward (+1) from y2, each
+        # (parent, gen, dir); backward (-1) to a seed c y1, each (child,
+        # gen, dir) with child one step closer to c y1.  A root is (None,
+        # c), its seed's conjugator c, or () at y2
+        reached = {1: {y2: (None, ())}, -1: {}}
+        for c in self.seeds:
+            reached[-1].setdefault(_outer(c, y1), (None, c))
+        frontier = {d: list(states) for d, states in reached.items()}
         # every later meet is caught when its state is inserted
-        m = y2 if y2 in bwd else None
-        while m is None and fdepth + bdepth < b.depth and (ffrontier or bfrontier):
-            expand_fwd = bool(ffrontier) and (not bfrontier or len(ffrontier) <= len(bfrontier))
-            src, other = (fwd, bwd) if expand_fwd else (bwd, fwd)
-            frontier = ffrontier if expand_fwd else bfrontier
-            nxt = []
-            for state in frontier:
-                for gen, d, ns in self._neighbors(state):
+        m = y2 if y2 in reached[-1] else None
+        rounds = 0
+        while m is None and rounds < b.depth and (frontier[1] or frontier[-1]):
+            fwd, bwd = len(frontier[1]), len(frontier[-1])
+            d = 1 if fwd and (not bwd or fwd <= bwd) else -1
+            src, nxt = reached[d], []
+            for state in frontier[d]:
+                for gen, e, ns in self._neighbors(state):
                     if ns in src or not self._admissible(ns, term_cap):
                         continue
-                    # a backward edge ns -> state applies gen with direction -d
-                    src[ns] = (state, gen, d if expand_fwd else -d)
+                    # a backward edge ns -> state applies gen with direction -e
+                    src[ns] = (state, gen, d * e)
                     nxt.append(ns)
-                    if ns in other:
+                    if ns in reached[-d]:
                         m = ns
                         break
                     if len(src) > b.max_states:
                         break
                 if m is not None or len(src) > b.max_states:
                     break
-            if expand_fwd:
-                ffrontier = nxt if len(fwd) <= b.max_states else []
-                fdepth += 1
-            else:
-                bfrontier = nxt if len(bwd) <= b.max_states else []
-                bdepth += 1
+            frontier[d] = nxt if len(src) <= b.max_states else []
+            rounds += 1
         if m is None:
             return None
-        # forward half: y2 -> m
-        steps = []
-        cur = m
-        while fwd[cur] is not None:
-            parent, gen, d = fwd[cur]
-            steps.append((gen, d))
-            cur = parent
-        steps.reverse()
-        # backward half: m -> c y1
-        cur = m
-        while bwd[cur][0] is not None:
-            cur, gen, d = bwd[cur]
-            steps.append((gen, d))
-        c = bwd[cur][1]
-        return Certificate(tuple(steps), tuple(G.invert(a) for a in c))
+        # y2 -> m forward, then m -> c y1 backward
+        halves = []
+        for d in (1, -1):
+            steps, cur = [], m
+            while reached[d][cur][0] is not None:
+                cur, gen, e = reached[d][cur]
+                steps.append((gen, e))
+            halves.append(steps)
+        c = reached[-1][cur][1]
+        return Certificate(tuple(halves[0][::-1] + halves[1]), tuple(G.invert(a) for a in c))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ one scenario per family, for each workload, fails here when one of those
 names goes missing, instead of only in a benchmark run.  Each row's
 deciding stage, as `bench/worker.py` attributes it (through
 `_abelian_applicable`), is one its workload is built to exercise, and
-the lattice layer's traced counters are live on both workloads.
+the lattice layer's traced counters are live on both workloads, the
+search-edge counter on orbit-search.
 """
 
 import pathlib
@@ -37,3 +38,6 @@ def test_traced_worker_runs_clean(workload):
     # lattice stage that went round them would read zero here
     assert out["layers"]["separators.lattice_member.calls"] > 0
     assert out["layers"]["separators.push.calls"] > 0
+    # and an orbit search that went round the module's act functions
+    if workload == "orbit-search":
+        assert out["layers"]["indeterminacy.search.edges"] > 0

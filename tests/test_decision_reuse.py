@@ -98,14 +98,21 @@ def test_records_do_not_depend_on_query_order(name, monkeypatch):
 
 
 def _counting(monkeypatch):
-    """Count constructions of pushed contexts, lattices and searchers."""
-    counts = {"pc": 0, "lattice": 0, "search": 0}
+    """Count constructions of pushed contexts, lattices and searchers, and
+    the balls of words the search enumerates."""
+    counts = {"pc": 0, "lattice": 0, "search": 0, "ball": 0}
     for key, cls in (("pc", SEP.PushedContext), ("lattice", SEP.Lattice),
                      ("search", I._OrbitSearch)):
         def init(self, *args, _key=key, _init=cls.__init__, **kwargs):
             counts[_key] += 1
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", init)
+    ball = I._ball
+
+    def counting_ball(*args, **kwargs):
+        counts["ball"] += 1
+        return ball(*args, **kwargs)
+    monkeypatch.setattr(I, "_ball", counting_ball)
     return counts
 
 
@@ -116,6 +123,8 @@ def _decisions(scn):
 @pytest.mark.parametrize("name", ["orbit-search:free", "orbit-search:link",
                                   "abelian-lattice:abelian"])
 def test_later_decisions_build_nothing(name, monkeypatch):
+    """After the first decision no query constructs a pushed context,
+    lattice or searcher, or enumerates a ball of conjugators."""
     counts = _counting(monkeypatch)
     scn = SC.parse_scenario(SCENARIOS[name])
     first, *rest = _decisions(scn)

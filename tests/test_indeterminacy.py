@@ -1,5 +1,6 @@
 """The indeterminacy action and the certified equality decision procedure."""
 
+import functools
 import itertools
 import random
 import time
@@ -650,6 +651,43 @@ def test_free_link_separator_distinct():
     res = I.decide_equal(y1, y2, phi)
     assert (res.verdict, res.separator) == ("distinct", "mod2")
     assert res.values == ((((0, 0), 1),), (((0, 0), 2),))
+
+
+TWO_SPHERES_SCN = """\
+group free x y
+knot k = x y
+trace lat : k -> k latitude x y
+sphere s1 points ( + 1 ) ( - y )
+sphere s2 points ( + 1 ) ( - x^2 )
+phi P knot k toroidal lat spheres s1 s2
+phi Q knot k toroidal lat spheres s2
+"""
+
+
+def test_a_second_sphere_keeps_its_aligned_translates():
+    """P's orbit contains Q's, as P has Q's sphere s2 and one more: every
+    translate t.s2 that Q certifies Equal to 0 at depth 2, P certifies too.
+    Both spheres align translates with the same words t, and the search
+    must not take s2's for s1's."""
+    from selflink.scenario import parse_scenario
+    scn = parse_scenario(TWO_SPHERES_SCN)
+    P, Q = scn.phis["P"], scn.phis["Q"]
+    ctx, s2 = P.context, scn.spheres["s2"]
+    letters = [g for x in S.all_generators(ctx.spec) for g in (x, S.invert(x))]
+    words = {functools.reduce(S.multiply, w) for n in range(1, 5)
+             for w in itertools.product(letters, repeat=n)}
+    words = sorted((t for t in words if 1 <= t.length() <= 4), key=repr)
+    assert len(words) == 160
+    bounds, zero, equal = I.Bounds(depth=2), R.zero(ctx), 0
+    for t in words:
+        y = R.from_terms(ctx, [(S.multiply(t, p), s) for s, p in s2.points])
+        if not y or I.decide_equal(y, zero, Q, bounds).verdict != "equal":
+            continue
+        res = I.decide_equal(y, zero, P, bounds)
+        assert res.verdict == "equal", t
+        assert I.replay(res.certificate, y, zero)
+        equal += 1
+    assert equal == 157
 
 
 # ---------------------------------------------------------------------------
