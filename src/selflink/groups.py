@@ -440,6 +440,18 @@ def _centralizer_run(spec: GroupSpec, f: int, run) -> list[GroupElement]:
     return gens
 
 
+def split_center(g: GroupElement) -> tuple[GroupElement, GroupElement]:
+    """(rest, z) with g = rest z and z the factor of g in the center: all of
+    g in a free abelian group, its central syllable in free x Z, and 1 in a
+    free group or a free product, whose centers are trivial."""
+    spec, sylls = g.spec, g.syllables
+    if spec.kind == FREE_ABELIAN:
+        return identity(spec), g
+    if spec.kind == FREE_TIMES_Z and sylls and sylls[-1][0] == spec.central_index:
+        return GroupElement(spec, sylls[:-1]), GroupElement(spec, sylls[-1:])
+    return g, identity(spec)
+
+
 def centralizer_generators(spec: GroupSpec, gamma: GroupElement) -> list[GroupElement]:
     """Generators of the centralizer of gamma.
 

@@ -34,10 +34,10 @@ is finite (_Turn.exact), a hit becoming the Equal certificate.
 Everything that depends on Phi alone is built once per presentation, the
 first time a query needs it, and kept on the PhiGroup: the turns (each its
 pushed context, offsets, relations and their Hermite basis) and the orbit
-searcher per Bounds (its outer conjugators, conjugated toroidal
-generators, sphere translates, and the goal translates of the class keys
-it has met).  A query pushes, reduces and searches only from its own two
-values.
+searcher per Bounds (its outer conjugators, one per action modulo the
+sides and the center, conjugated toroidal generators, sphere translates,
+and the goal translates of the class keys it has met).  A query pushes,
+reduces and searches only from its own two values.
 
 The search keeps one generator per action (z, parts), the first in its
 order: the conjugated toroidal generators once, and in each state every
@@ -489,18 +489,49 @@ def _lattice_stage(y1, y2, phi, max_states) -> DecisionResult | None:
 # are pairs drawn from a product of two balls, so its balls are smaller:
 # (radius, cap) of each factor's ball of conjugators for the toroidal
 # generators, the cap on those conjugated generators, and depth ->
-# (radius, cap) of each factor's ball of backward seeds.
+# (radius, cap) of each factor's ball of backward seeds.  The radius and
+# cap bound the balls; _conjugators then keeps one conjugator per action,
+# modulo the sides and the center.
 _SIZES = {
     1: ((2, 60), None, lambda depth: (min(3, depth), 200)),
     2: ((1, 10), 60, lambda depth: (2, 40)),
 }
 
 
+def _action_key(phi):
+    """The map from an outer conjugator c to its class modulo the sides and
+    the center.
+
+    A part alpha of c centralizes its side gamma, so gamma^n alpha z, z
+    central, acts as alpha does, provided a link's two parts take the same
+    z.  The key strips the central part of c[0] from every part and reduces
+    each part modulo its side, a knot's side with its own central part
+    stripped as well.  Equal keys thus mean parts gamma^n alpha z with one
+    z, which act alike on every value and conjugate the toroidal parts
+    alike."""
+    spec = phi.context.spec
+    sides = [k.gamma for k in phi.knots]
+    if len(sides) == 1:
+        sides = [G.split_center(sides[0])[0]]
+    # a trivial side reduces nothing, and needs no ring
+    rings = [R.two_sided_ring(spec, G.identity(spec), s) if s else None for s in sides]
+
+    def key(c):
+        rest, z = G.split_center(c[0])
+        parts = (rest,) + tuple(G.multiply(a, G.invert(z)) for a in c[1:])
+        return tuple(a if ring is None else R.canonicalize(ring, a)
+                     for ring, a in zip(rings, parts))
+    return key
+
+
 def _conjugators(phi, radius, cap) -> list:
-    """The outer conjugators: the product of each factor's ball of
-    centralizer words, the identity first."""
-    return list(itertools.product(*(_ball(phi.context.spec, zs, radius, cap)
-                                    for zs in phi.zetas)))
+    """The outer conjugators, one per action: of the product of each
+    factor's ball of centralizer words, the identity first, the first
+    conjugator per _action_key."""
+    key, kept = _action_key(phi), {}
+    for c in itertools.product(*(_ball(phi.context.spec, zs, radius, cap) for zs in phi.zetas)):
+        kept.setdefault(key(c), c)
+    return list(kept.values())
 
 
 def _by_action(gens, base=None, cap=None) -> dict:
@@ -528,7 +559,8 @@ class _OrbitSearch:
     Forward states grow from y2 under the generator action; backward states
     grow from the seeds, the outer conjugates c y1, under the inverse
     action.  The seeds' conjugators, the conjugated toroidal generators and
-    a sample of sphere translates are built once; more sphere translates
+    a sample of sphere translates are built once, the conjugators one per
+    action modulo the sides and the center; more sphere translates
     are generated goal-directed: for every class key in a state, candidate
     translates align a sphere point with that key so the relation can
     cancel it.  A state applies each action once, under the first

@@ -7,6 +7,10 @@ import pytest
 import selflink as S
 from conftest import ALL_SPECS, FREE2, FXZ, PROD, PROD_FXZ, random_word
 
+EVERY_KIND = pytest.mark.parametrize(
+    "spec", ALL_SPECS + [PROD, PROD_FXZ],
+    ids=["free2", "free3", "ab1", "ab2", "fxz", "prod", "prod_fxz"])
+
 
 def test_free_normal_form_cancellation():
     G = FREE2
@@ -161,14 +165,33 @@ def test_centralizer_membership(rng):
                 assert S.commutes(g, gamma)
 
 
+@EVERY_KIND
+def test_split_center(spec, rng):
+    """g = rest z with z central; z is all of g in a free abelian group,
+    the central syllable in free x Z and 1 otherwise, where the center is
+    trivial (a free factor's central generator is not central in a free
+    product)."""
+    gens = S.all_generators(spec)
+    for _ in range(50):
+        g = random_word(rng, spec, 6)
+        rest, z = S.groups.split_center(g)
+        assert S.multiply(rest, z) == g
+        assert all(S.commutes(z, h) for h in gens)
+        if spec.kind == "free_abelian":
+            assert S.is_identity(rest)
+        elif spec.kind == "free_times_z":
+            assert all(i != spec.central_index for i, _ in rest.syllables)
+        else:
+            assert S.is_identity(z)
+
+
 def test_unknown_generator_rejected():
     from selflink import UnknownGenerator
     with pytest.raises(UnknownGenerator):
         S.parse_word(FREE2, "x q")
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS + [PROD, PROD_FXZ],
-                         ids=["free2", "free3", "ab1", "ab2", "fxz", "prod", "prod_fxz"])
+@EVERY_KIND
 def test_make_element_rejects_out_of_range_indices(spec):
     from selflink import UnknownGenerator
     n = len(spec.labels)

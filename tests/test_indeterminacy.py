@@ -2,7 +2,9 @@
 
 import functools
 import itertools
+import pathlib
 import random
+import sys
 import time
 
 import pytest
@@ -11,8 +13,13 @@ import selflink as S
 import selflink.cosets as R
 import selflink.indeterminacy as I
 import selflink.linking as L
+import selflink.scenario as SC
 import selflink.separators as SEP
-from conftest import AB1, AB2, FREE2, FXZ, PROD, random_word
+from conftest import AB1, AB2, FREE2, FXZ, PROD, PROD_FXZ, random_word
+
+sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "bench"))
+
+import gen  # noqa: E402
 
 CASES = 10000
 
@@ -990,3 +997,107 @@ def test_rank1_long_sphere_chain_decides_quickly(n, torus, sphere, y1, y2, steps
     assert res.verdict == "equal"
     assert steps is None or len(res.certificate.steps) == steps
     assert I.replay(res.certificate, y1, y2)
+
+
+# ---------------------------------------------------------------------------
+# outer conjugators, one per action
+
+
+# (spec, knot classes as (word, power), order of the centralizers modulo
+# the sides and the center where it is finite): one class for a knot, two
+# for a link
+_ACTION_CASES = {
+    **{f"free-rho^{p}": (FREE2, [("x y^-1 x", p)], p) for p in (1, 2, 3, 6)},
+    "free-conjugate-root^3": (FREE2, [("y x^3 y^-1", 1)], 3),
+    "fxz-central": (FXZ, [("t", 2)], None),
+    "fxz-noncentral": (FXZ, [("x y x y t^3", 1)], 2),
+    "abelian": (AB2, [("x y^2", 1)], 1),
+    "product-into-free-factor": (PROD, [("y x", 2)], 2),
+    "product-into-abelian-factor": (PROD, [("x z^2 x^-1", 1)], 2),
+    "product-into-fxz-factor": (PROD_FXZ, [("u x y t u^-1", 1)], None),
+    "product-fxz-center-of-factor": (PROD_FXZ, [("t", 2)], None),
+    "product-not-into-a-factor": (PROD, [("x z", 2)], 2),
+    "free-link": (FREE2, [("x y x", 1), ("y x^-2", 1)], 1),
+    "free-link-powers": (FREE2, [("x y", 2), ("y", 3)], 6),
+    "fxz-link": (FXZ, [("x^2 t", 1), ("y t^-1", 1)], None),
+    "fxz-link-central-side": (FXZ, [("x y t", 1), ("t", 3)], None),
+}
+
+
+def _action_case(rng, spec, classes):
+    """A knot or a link over the given classes, one trace per centralizer
+    generator, with random double points."""
+    knots = [L.Knot(f"k{i}", S.power(S.parse_word(spec, w), n))
+             for i, (w, n) in enumerate(classes)]
+    one = S.identity(spec)
+
+    def points():
+        return tuple((rng.choice((1, -1)), random_word(rng, spec, 3)) for _ in range(2))
+    if len(knots) == 1:
+        k = knots[0]
+        return I.build_phi(k, [L.Trace(k, k, points(), z)
+                               for z in S.centralizer_generators(spec, k.gamma)])
+    k1, k2 = knots
+    t1 = [L.LinkTrace(L.Trace(k1, k1, points(), z), L.Trace(k2, k2, (), one), points())
+          for z in S.centralizer_generators(spec, k1.gamma)]
+    t2 = [L.LinkTrace(L.Trace(k1, k1, (), one), L.Trace(k2, k2, points(), z), points())
+          for z in S.centralizer_generators(spec, k2.gamma)]
+    return I.build_phi_link(k1, k2, t1, t2)
+
+
+@pytest.mark.parametrize("case", _ACTION_CASES)
+def test_conjugators_keep_one_per_action(case):
+    """Every conjugator of the full ball acts as the kept conjugator with
+    its key: on seeded values, and in the toroidal generators' ball on
+    their z and parts too.  The kept conjugators are a subsequence of the
+    ball.  Where the centralizers modulo the sides and the center form a
+    finite group that the seed ball covers, one seed conjugator is kept
+    per element: p for a free knot gamma = rho^p."""
+    rng = random.Random(2121)
+    spec, classes, order = _ACTION_CASES[case]
+    phi = _action_case(rng, spec, classes)
+    conj_ball, _, seed_ball = I._SIZES[len(phi.zetas)]
+    key = I._action_key(phi)
+    values = [R.from_terms(phi.context, [(random_word(rng, spec, 3), rng.choice((-2, -1, 1, 2)))
+                                         for _ in range(2)]) for _ in range(2)]
+
+    def action(c, toroidal):
+        return ([I._outer(c, y) for y in values]
+                + [(I._outer(c, g.z), [S.conjugate(p, a) for p, a in zip(g.parts, c)])
+                   for g in phi.toroidal if toroidal])
+    for (radius, cap), toroidal in ((conj_ball, True), (seed_ball(I.Bounds().depth), False)):
+        ball = list(itertools.product(*(I._ball(spec, zs, radius, cap) for zs in phi.zetas)))
+        kept = I._conjugators(phi, radius, cap)
+        positions = [ball.index(c) for c in kept]
+        assert positions == sorted(positions) and positions[0] == 0
+        acts = {key(c): action(c, toroidal) for c in kept}
+        assert len(acts) == len(kept)
+        for c in ball:
+            assert action(c, toroidal) == acts[key(c)], c
+    assert order is None or len(kept) == order
+
+
+def test_orbit_search_seeds_one_per_action_on_the_bench_batch(monkeypatch):
+    """The backward seeds of the orbit-search seed-1 batch: one per free
+    and link query (gamma = rho there), at most 137 per free x Z query
+    (knot t, central, so a conjugator acts by its free part), 862 in all
+    against 1 624 for the full balls, and they keep all 854 distinct seed
+    values.  The 8 repeats lie on one free x Z query whose y1, [z y z^-1],
+    is fixed by conjugation by y: no key on the conjugator alone merges
+    conjugators that act alike on one value only."""
+    seeds, family = [], None
+    run = I._OrbitSearch.run
+
+    def counted(self, y1, y2):
+        seeds.append((family, [I._outer(c, y1) for c in self.seeds]))
+        return run(self, y1, y2)
+    monkeypatch.setattr(I._OrbitSearch, "run", counted)
+    for scenario in gen.generate("orbit-search", 1):
+        family, scn = scenario["family"], SC.parse_scenario(scenario["text"])
+        for tokens in scn.queries:
+            SC.execute_query(scn, tokens, I.Bounds())
+    assert len(seeds) == 46
+    for fam, values in seeds:
+        assert len(values) <= (137 if fam == "free_times_z" else 1), fam
+    assert sum(len(v) for _, v in seeds) <= 862
+    assert sum(len(set(v)) for _, v in seeds) == 854
