@@ -29,19 +29,22 @@ SCHEMA_VERSION = 2
 
 
 def _build_parser():
+    bounds = I.Bounds()
     p = argparse.ArgumentParser(
         prog="selflink",
         description="Algebraic self-linking and linking numbers of knots in "
                     "3-manifolds with tractable fundamental groups.")
-    p.add_argument("--depth", type=int, default=I.Bounds.depth,
-                   help="orbit search composition depth")
-    p.add_argument("--translate-len", type=int, default=I.Bounds.translate_len,
-                   help="word-length cap for sphere translates")
-    p.add_argument("--support-len", type=int, default=I.Bounds.support_len,
-                   help="letter cap per class key during the search")
-    p.add_argument("--max-states", type=int, default=I.Bounds.max_states,
+    p.add_argument("--depth", type=int, default=bounds.depth,
+                   help="orbit search composition depth (default: %(default)s)")
+    p.add_argument("--translate-len", type=int, default=bounds.translate_len,
+                   help="word-length cap for sphere translates (default: %(default)s)")
+    p.add_argument("--support-len", type=int, default=bounds.support_len,
+                   help="letter cap per class key during the search "
+                        "(default: %(default)s)")
+    p.add_argument("--max-states", type=int, default=bounds.max_states,
                    help="visited-state cap per search direction, and cap on "
-                        "the key classes a lattice turn enumerates")
+                        "the key classes a lattice turn enumerates "
+                        "(default: %(default)s)")
     p.add_argument("--json", action="store_true", help="structured JSON report")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 if any verdict is Unknown")

@@ -17,15 +17,17 @@ Only this module decodes a flavor: a context names its quotient by
 ``sides`` and ``inverts``, and ``biact`` is the one termwise action.
 
 A class key is the shortlex-least element of its orbit, so class equality
-is word equality.  Elements serialize as signed integer-coefficient sums
-of class keys in shortlex order, e.g. ``+1*[x] -1*[x y]``.
+is word equality.  Elements are stored as tuples ``(context, terms)``, the
+terms (class key, coefficient) pairs in shortlex order of the keys, so
+equality and hashing are tuple operations, run in C.  Elements serialize
+as signed integer-coefficient sums of class keys in shortlex order, e.g.
+``+1*[x] -1*[x y]``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
 from . import groups as G
@@ -43,13 +45,9 @@ _TERM_RE = re.compile(r"([+-]\d+)\*\[([^\]]*)\]")
 _TERM_RE_LENIENT = re.compile(r"([+-]?\d*)\s*\*?\s*\[([^\]]*)\]")
 
 
-@dataclass(frozen=True)
-class RingContext:
-    """A class ring over spec, whose quotient `sides` and `inverts` name."""
-    spec: G.GroupSpec = field(repr=False)
-    flavor: str
-    gamma: G.GroupElement | None = None
-    delta: G.GroupElement | None = None
+class RingContext(G.value_type("RingContext", "spec flavor gamma delta", (None, None))):
+    """A class ring over spec, (spec, flavor, gamma, delta), whose quotient
+    `sides` and `inverts` name."""
 
     @property
     def sides(self) -> tuple:
@@ -378,10 +376,10 @@ def _canonicalize_cached(ctx: RingContext, g: G.GroupElement) -> G.GroupElement 
 # ring elements
 
 
-@dataclass(frozen=True)
-class RingElement:
-    context: RingContext = field(repr=False)
-    terms: tuple[tuple[G.GroupElement, int], ...]  # (class key, coefficient)
+class RingElement(G.value_type("RingElement", "context terms")):
+    """(context, terms), the terms (class key, coefficient) pairs in
+    shortlex order of the keys."""
+    __slots__ = ()
 
     def __repr__(self):
         return f"<{format_ring(self)}>"

@@ -7,8 +7,9 @@ Four kinds of group are supported:
   free_times_z  (free group) x Z, the last label being the central generator
   free_product  free product of the other three kinds
 
-Elements are stored as run-length syllables ``(generator_index, exponent)``
-in the kind's normal form, which makes equality a tuple comparison.  For
+Elements are stored as tuples ``(spec, syllables)``, the syllables
+run-length ``(generator_index, exponent)`` pairs in the kind's normal form,
+so equality and hashing are tuple operations, run in C.  For
 free_times_z the central syllable is kept canonically last.  Words
 serialize as whitespace-separated signed symbols, e.g. ``x y^-1 x^2``.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import IdentityInput, ParseError, SpecMismatch, UnknownGenerator
@@ -32,33 +33,44 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    kind: str
-    labels: tuple[str, ...]
-    factors: tuple["GroupSpec", ...] = ()
+def value_type(name: str, fields: str, defaults=()):
+    """An immutable record type on a tuple with named fields, so that
+    construction, equality and hashing run in C.  Tuple concatenation,
+    repetition and order are switched off (+, * and < raise TypeError); a
+    subclass defines what it supports.  Value types that cache a derived
+    property keep an instance __dict__, all others set __slots__ = ()."""
+    base = namedtuple(name, fields, defaults=defaults)
+    base.__add__ = base.__mul__ = base.__rmul__ = None
+    base.__lt__ = base.__le__ = base.__gt__ = base.__ge__ = None
+    return base
 
-    def __post_init__(self):
-        if self.kind not in (FREE, FREE_ABELIAN, FREE_TIMES_Z, FREE_PRODUCT):
-            raise ValueError(f"unknown group kind {self.kind!r}")
-        if len(set(self.labels)) != len(self.labels):
+
+class GroupSpec(value_type("GroupSpec", "kind labels factors")):
+    """A group (kind, labels, factors); factors are a free product's
+    flattened free factors, () for the other kinds."""
+
+    def __new__(cls, kind: str, labels: tuple[str, ...], factors: tuple = ()):
+        if kind not in (FREE, FREE_ABELIAN, FREE_TIMES_Z, FREE_PRODUCT):
+            raise ValueError(f"unknown group kind {kind!r}")
+        if len(set(labels)) != len(labels):
             raise ValueError("generator labels must be pairwise distinct")
-        for lab in self.labels:
+        for lab in labels:
             if not _NAME_RE.match(lab):
                 raise ValueError(f"bad generator label {lab!r}")
-        if self.kind == FREE_TIMES_Z and len(self.labels) < 2:
+        if kind == FREE_TIMES_Z and len(labels) < 2:
             raise ValueError("free_times_z needs a free generator plus the central one")
-        if self.kind != FREE_PRODUCT and not self.labels:
+        if kind != FREE_PRODUCT and not labels:
             raise ValueError("rank must be at least 1")
-        if self.kind == FREE_PRODUCT:
-            if len(self.factors) < 2:
+        if kind == FREE_PRODUCT:
+            if len(factors) < 2:
                 raise ValueError("free_product needs at least two factors")
-            for f in self.factors:
+            for f in factors:
                 if f.kind == FREE_PRODUCT:
                     raise ValueError("free_product factors must be flattened")
-            expected = tuple(lab for f in self.factors for lab in f.labels)
-            if self.labels != expected:
+            expected = tuple(lab for f in factors for lab in f.labels)
+            if labels != expected:
                 raise ValueError("free_product labels must concatenate the factor labels")
+        return super().__new__(cls, kind, labels, factors)
 
     @cached_property
     def _parts(self) -> tuple[tuple["GroupSpec", int], ...]:
@@ -175,12 +187,9 @@ def _normalize_syllables(spec: GroupSpec, sylls):
     return tuple(s for _, run in stack for s in run)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A word in normal form.  The constructor trusts its syllables;
-    make_element checks and normalizes raw ones."""
-    spec: GroupSpec = field(repr=False)
-    syllables: tuple[tuple[int, int], ...]
+class GroupElement(value_type("GroupElement", "spec syllables")):
+    """A word in normal form, (spec, syllables).  The constructor trusts
+    its syllables; make_element checks and normalizes raw ones."""
 
     def __repr__(self):
         # the bracket form of a class key

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 from . import cosets as R
 from . import groups as G
@@ -64,44 +63,39 @@ from .errors import (InvariantViolation, LatitudeMismatch, NotSelfTrace,
 # bounds and generators
 
 
-@dataclass(frozen=True)
-class Bounds:
-    depth: int = 6            # total composition depth of the orbit search
-    translate_len: int = 6    # word-length cap for materialized translates
-    support_len: int = 16     # letter cap per class key in a search state
-    max_states: int = 50000   # visited-state cap per direction, and cap on
-                              # the key classes a lattice turn enumerates
+class Bounds(G.value_type("Bounds", "depth translate_len support_len max_states",
+                          (6, 6, 16, 50000))):
+    """The search and enumeration bounds of a decision:
+
+      depth          total composition depth of the orbit search
+      translate_len  word-length cap for materialized translates
+      support_len    letter cap per class key in a search state
+      max_states     visited-state cap per direction, and cap on the key
+                     classes a lattice turn enumerates
+    """
+    __slots__ = ()
 
     def to_record(self):
-        return {"depth": self.depth, "translate_len": self.translate_len,
-                "support_len": self.support_len, "max_states": self.max_states}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class PhiGen:
+class PhiGen(G.value_type("PhiGen", "z parts provenance", ("",))):
     """A generator (z, parts) of Phi: parts is (phi,) for a knot, acting by
     y -> z + phi y phi^-1, or (phi, psi) for a link, acting by
     y -> z + phi y psi^-1."""
-    z: R.RingElement
-    parts: tuple[G.GroupElement, ...]
-    provenance: str = ""
+    __slots__ = ()
 
     def inverse(self) -> "PhiGen":
         inv = tuple(G.invert(p) for p in self.parts)
         return PhiGen(R.negate(_outer(inv, self.z)), inv, f"inv({self.provenance})")
 
 
-@dataclass(frozen=True)
-class PhiGroup:
+class PhiGroup(G.value_type("PhiGroup", "knots context zetas toroidal sided_spheres")):
     """A presentation of Phi: knots is (k,) for a knot or (k1, k2) for a
     link, zetas the centralizer generators per outer factor, and
     sided_spheres the sphere families as (sphere, right), a knot's all on
-    the left."""
-    knots: tuple[L.Knot, ...]
-    context: R.RingContext = field(repr=False)
-    zetas: tuple[tuple[G.GroupElement, ...], ...]
-    toroidal: tuple[PhiGen, ...]
-    sided_spheres: tuple[tuple[L.SphereData, bool], ...]
+    the left.  Presentations compare by these fields; what a query builds
+    from them is kept in the instance __dict__."""
 
     @functools.cached_property
     def _turns(self) -> tuple:
@@ -251,14 +245,13 @@ def is_spherical_presented(phi: PhiGroup) -> bool:
 # verdicts
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Replayable witness: y1 = c . (g_n^e_n ... g_1^e_1 . y2), steps
-    applied left to right, the outer conjugator c last.  An exponent is a
+class Certificate(G.value_type("Certificate", "steps conjugator")):
+    """Replayable witness (steps, conjugator): y1 = c . (g_n^e_n ... g_1^e_1
+    . y2), the steps (PhiGen, e) applied left to right, the outer
+    conjugator c, (alpha,) or (alpha, beta), last.  An exponent is a
     non-zero integer: the orbit search makes unit steps (e = +-1), the
     abelian lattice decision one step per generator it uses."""
-    steps: tuple  # of (PhiGen, e)
-    conjugator: tuple  # (alpha,) or (alpha, beta)
+    __slots__ = ()
 
     def to_record(self):
         return {
@@ -268,13 +261,13 @@ class Certificate:
         }
 
 
-@dataclass(frozen=True)
-class DecisionResult:
-    verdict: str  # "equal" | "distinct" | "unknown"
-    certificate: Certificate | None = None
-    separator: str | None = None
-    values: tuple | None = None  # the differing separator values
-    bounds: Bounds | None = None
+class DecisionResult(G.value_type("DecisionResult",
+                                  "verdict certificate separator values bounds",
+                                  (None, None, None, None))):
+    """A verdict, "equal", "distinct" or "unknown", with its evidence: the
+    certificate of an Equal, the separator and its two differing values of
+    a Distinct, the bounds an Unknown exhausted."""
+    __slots__ = ()
 
     def to_record(self):
         rec = {"verdict": self.verdict}

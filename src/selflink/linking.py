@@ -8,8 +8,6 @@ applied explicitly via ``rebase``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import cosets as R
 from . import groups as G
 from .errors import (EndpointMismatch, InvariantViolation, NonVanishingLinking,
@@ -29,37 +27,36 @@ def _check_points(spec, points):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Knot:
-    label: str
-    gamma: G.GroupElement
+class Knot(G.value_type("Knot", "label gamma")):
+    """(label, gamma): a named knot and its class gamma in pi_1."""
+    __slots__ = ()
 
     @property
     def spec(self):
         return self.gamma.spec
 
 
-@dataclass(frozen=True)
-class Trace:
-    knot_from: Knot
-    knot_to: Knot
-    points: tuple[Point, ...]
-    latitude: G.GroupElement
+class Trace(G.value_type("Trace", "knot_from knot_to points latitude")):
+    """(knot_from, knot_to, points, latitude): a homotopy between two knots
+    of one class, its double points as (sign, group element) and its
+    latitude in the centralizer of the class."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.knot_from.spec != self.knot_to.spec:
+    def __new__(cls, knot_from: Knot, knot_to: Knot, points, latitude: G.GroupElement):
+        if knot_from.spec != knot_to.spec:
             raise SpecMismatch("trace endpoints live in different groups")
-        if self.knot_from.gamma != self.knot_to.gamma:
+        if knot_from.gamma != knot_to.gamma:
             raise EndpointMismatch(
-                f"trace endpoints {self.knot_from.label!r} and {self.knot_to.label!r} "
+                f"trace endpoints {knot_from.label!r} and {knot_to.label!r} "
                 "are in different classes")
-        if self.latitude.spec != self.knot_from.spec:
+        if latitude.spec != knot_from.spec:
             raise SpecMismatch("latitude belongs to a different spec")
-        if not G.commutes(self.latitude, self.knot_from.gamma):
+        if not G.commutes(latitude, knot_from.gamma):
             raise NotInCentralizer(
-                f"latitude {G.format_word(self.latitude)} does not centralize "
-                f"{G.format_word(self.knot_from.gamma)}")
-        object.__setattr__(self, "points", _check_points(self.knot_from.spec, self.points))
+                f"latitude {G.format_word(latitude)} does not centralize "
+                f"{G.format_word(knot_from.gamma)}")
+        return super().__new__(cls, knot_from, knot_to,
+                               _check_points(knot_from.spec, points), latitude)
 
     @property
     def spec(self):
@@ -70,23 +67,20 @@ class Trace:
         return self.knot_from.gamma
 
 
-@dataclass(frozen=True)
-class SphereData:
-    label: str
-    points: tuple[Point, ...]
+class SphereData(G.value_type("SphereData", "label points")):
+    """(label, points): a sphere's double points as (sign, group element)."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LinkTrace:
-    trace1: Trace
-    trace2: Trace
-    cross_points: tuple[Point, ...] = ()
+class LinkTrace(G.value_type("LinkTrace", "trace1 trace2 cross_points")):
+    """(trace1, trace2, cross_points): a trace per link component and the
+    intersections between the two, as (sign, group element)."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.trace1.spec != self.trace2.spec:
+    def __new__(cls, trace1: Trace, trace2: Trace, cross_points=()):
+        if trace1.spec != trace2.spec:
             raise SpecMismatch("link trace components live in different groups")
-        object.__setattr__(self, "cross_points",
-                           _check_points(self.trace1.spec, self.cross_points))
+        return super().__new__(cls, trace1, trace2, _check_points(trace1.spec, cross_points))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ order.  `1` denotes the identity word.
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass, field
 
 from . import cosets as R
 from . import groups as G
@@ -40,15 +39,19 @@ _DECLARES = {"knot": ("knots", "knot"), "trace": ("traces", "trace"),
              "phi": ("phis", "presentation"), "philink": ("phis", "presentation")}
 
 
-@dataclass
 class Scenario:
-    spec: G.GroupSpec | None = None
-    knots: dict[str, L.Knot] = field(default_factory=dict)
-    traces: dict[str, L.Trace] = field(default_factory=dict)
-    spheres: dict[str, L.SphereData] = field(default_factory=dict)
-    linktraces: dict[str, L.LinkTrace] = field(default_factory=dict)
-    phis: dict[str, I.PhiGroup] = field(default_factory=dict)  # phi and philink
-    queries: list[list[str]] = field(default_factory=list)
+    """The ambient group, the named declarations per table (phis holds phi
+    and philink presentations) and the stored queries' tokens."""
+
+    def __init__(self, spec: G.GroupSpec | None = None, knots=None, traces=None,
+                 spheres=None, linktraces=None, phis=None, queries=None):
+        self.spec = spec
+        self.knots: dict[str, L.Knot] = knots or {}
+        self.traces: dict[str, L.Trace] = traces or {}
+        self.spheres: dict[str, L.SphereData] = spheres or {}
+        self.linktraces: dict[str, L.LinkTrace] = linktraces or {}
+        self.phis: dict[str, I.PhiGroup] = phis or {}
+        self.queries: list[list[str]] = queries or []
 
 
 def _pad_brackets(line: str) -> str:

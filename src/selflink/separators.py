@@ -22,7 +22,6 @@ import heapq
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from . import cosets as R
 from . import groups as G
@@ -194,21 +193,21 @@ def lattice_member(lat: Lattice, coeffs: dict):
 # separators
 
 
-@dataclass(frozen=True)
-class Separator:
-    name: str
-    source: G.GroupSpec = field(repr=False)
-    images: tuple[tuple[int, ...], ...]  # one image vector per generator
-    moduli: tuple[int, ...]  # 0 marks a free coordinate
+class Separator(G.value_type("Separator", "name source images moduli")):
+    """A homomorphism (name, source, images, moduli) from the source group
+    to Z^dim modulo moduli: one image vector per generator, a modulus 0
+    marking a free coordinate."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.images) != len(self.source.labels):
+    def __new__(cls, name: str, source: G.GroupSpec, images: tuple, moduli: tuple):
+        if len(images) != len(source.labels):
             raise DimensionMismatch("need one image per generator")
-        for img in self.images:
-            if len(img) != len(self.moduli):
+        for img in images:
+            if len(img) != len(moduli):
                 raise DimensionMismatch("image dimension does not match moduli")
-        if any(m < 0 for m in self.moduli) or 0 in self.moduli and any(self.moduli):
+        if any(m < 0 for m in moduli) or 0 in moduli and any(moduli):
             raise DimensionMismatch("moduli must be all 0 (free) or all positive (finite)")
+        return super().__new__(cls, name, source, images, moduli)
 
     @property
     def dim(self):
@@ -258,7 +257,6 @@ def _vec_add(a, b, scale=1):
     return tuple(x + scale * y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
 class PushedContext:
     """Image of a ring context under a separator; canonicalizes pushed
     classes exactly.  The class of w is w + L, or +-w + L where the context
@@ -267,17 +265,15 @@ class PushedContext:
     reduction r(w) modulo L, the canonical member of w + L, or the lesser of
     r(w) and r(-w); on a finite target r(w) is the lex-least member of
     w + L in the reduced box."""
-    sep: Separator
-    ctx: R.RingContext = field(repr=False)
-    _rows: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        sides = [self.sep.image(s) for s in dict.fromkeys(self.ctx.sides) if s is not None]
+    def __init__(self, sep: Separator, ctx: R.RingContext):
+        self.sep, self.ctx = sep, ctx
+        sides = [sep.image(s) for s in dict.fromkeys(ctx.sides) if s is not None]
         basis = {}
-        for row in [{i: m} for i, m in enumerate(self.sep.moduli) if m] + [
+        for row in [{i: m} for i, m in enumerate(sep.moduli) if m] + [
                 {j: a for j, a in enumerate(s) if a} for s in sides]:
             _insert(basis, row)
-        object.__setattr__(self, "_rows", tuple(sorted(basis.items())))
+        self._rows = tuple(sorted(basis.items()))
 
     @property
     def finite(self) -> bool:

@@ -3,12 +3,14 @@
 import json
 import os
 import pathlib
+import re
 import resource
 import subprocess
 import sys
 
 import pytest
 
+import selflink.indeterminacy as I
 from selflink.cli import main
 
 SCN = """\
@@ -241,3 +243,14 @@ def test_negative_bounds_are_rejected(flag, scn_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} must be non-negative")
+
+
+def test_help_shows_each_bound_default(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for name, default in I.Bounds().to_record().items():
+        flag = "--" + name.replace("_", "-")
+        # the flag's own help, up to the next option, ends with its default
+        assert re.search(rf"{flag} [A-Z_]+ (?:(?!--).)*\(default: {default}\)", out), flag

@@ -1,7 +1,9 @@
 """The library imports nothing outside the standard library."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -20,3 +22,16 @@ def test_absolute_imports_are_stdlib(path):
             names.append(node.module)
     outside = sorted({n.split(".")[0] for n in names} - sys.stdlib_module_names)
     assert not outside, f"{path.name} imports {outside}"
+
+
+def test_import_loads_no_dataclasses_machinery():
+    """The value types are tuples: a fresh interpreter that imports the
+    library and its CLI loads neither dataclasses nor inspect, which
+    dataclasses pulls in with ast and dis."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, selflink, selflink.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
