@@ -10,7 +10,10 @@ Four kinds of group are supported:
 Elements are stored as tuples ``(spec, syllables)``, the syllables
 run-length ``(generator_index, exponent)`` pairs in the kind's normal form,
 so equality and hashing are tuple operations, run in C.  For
-free_times_z the central syllable is kept canonically last.  Words
+free_times_z the central syllable is kept canonically last.  A product of
+two normal forms cancels only at the seam, where the first word ends and
+the second begins (free x Z sums the central syllables aside), and an
+inverse is read off the normal form; free products renormalize.  Words
 serialize as whitespace-separated signed symbols, e.g. ``x y^-1 x^2``.
 """
 
@@ -240,14 +243,55 @@ def _check_same_spec(a: GroupElement, b: GroupElement):
         raise SpecMismatch("elements belong to different group specs")
 
 
+def _seam(a, b):
+    """The product of two freely reduced syllable tuples: only where a
+    ends and b begins can syllables merge or cancel."""
+    i, j = len(a), 0
+    while i and j < len(b) and a[i - 1][0] == b[j][0]:
+        e = a[i - 1][1] + b[j][1]
+        if e:
+            return a[:i - 1] + ((b[j][0], e),) + b[j + 1:]
+        i, j = i - 1, j + 1
+    return a[:i] + b[j:]
+
+
+def _free_central(a: GroupElement):
+    """(free syllables, central exponent) of a free x Z word."""
+    sylls = a.syllables
+    if sylls and sylls[-1][0] == a.spec.central_index:
+        return sylls[:-1], sylls[-1][1]
+    return sylls, 0
+
+
+def _with_central(spec: GroupSpec, free, c: int) -> GroupElement:
+    return GroupElement(spec, free + (((spec.central_index, c),) if c else ()))
+
+
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
+    """a b.  In a free group, and in free x Z with the central syllables
+    summed last, the normal forms cancel only at the seam."""
     _check_same_spec(a, b)
-    return GroupElement(a.spec, _normalize_syllables(a.spec, a.syllables + b.syllables))
+    spec = a.spec
+    if spec.kind == FREE:
+        return GroupElement(spec, _seam(a.syllables, b.syllables))
+    if spec.kind == FREE_TIMES_Z:
+        (fa, ca), (fb, cb) = _free_central(a), _free_central(b)
+        return _with_central(spec, _seam(fa, fb), ca + cb)
+    return GroupElement(spec, _normalize_syllables(spec, a.syllables + b.syllables))
 
 
 def invert(a: GroupElement) -> GroupElement:
+    """a^-1, read off the normal form except in a free product."""
+    spec = a.spec
+    if spec.kind == FREE:
+        return GroupElement(spec, tuple([(i, -e) for i, e in reversed(a.syllables)]))
+    if spec.kind == FREE_TIMES_Z:
+        free, c = _free_central(a)
+        return _with_central(spec, tuple([(i, -e) for i, e in reversed(free)]), -c)
+    if spec.kind == FREE_ABELIAN:
+        return GroupElement(spec, tuple([(i, -e) for i, e in a.syllables]))
     sylls = [(i, -e) for i, e in reversed(a.syllables)]
-    return GroupElement(a.spec, _normalize_syllables(a.spec, sylls))
+    return GroupElement(spec, _normalize_syllables(spec, sylls))
 
 
 def conjugate(a: GroupElement, by: GroupElement) -> GroupElement:
@@ -453,11 +497,12 @@ def split_center(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     """(rest, z) with g = rest z and z the factor of g in the center: all of
     g in a free abelian group, its central syllable in free x Z, and 1 in a
     free group or a free product, whose centers are trivial."""
-    spec, sylls = g.spec, g.syllables
+    spec = g.spec
     if spec.kind == FREE_ABELIAN:
         return identity(spec), g
-    if spec.kind == FREE_TIMES_Z and sylls and sylls[-1][0] == spec.central_index:
-        return GroupElement(spec, sylls[:-1]), GroupElement(spec, sylls[-1:])
+    if spec.kind == FREE_TIMES_Z:
+        free, c = _free_central(g)
+        return GroupElement(spec, free), _with_central(spec, (), c)
     return g, identity(spec)
 
 

@@ -204,8 +204,11 @@ def _compose(g, h):
 
 
 def _power(gen, k: int):
-    """gen^k by doubling, (z, p)^2 = (z + p.z, p^2): O(log |k|) ring
-    operations, from the inverse generator for negative k."""
+    """gen^k: (k z, 1) for a pure generator (z, 1), else by doubling,
+    (z, p)^2 = (z + p.z, p^2): O(log |k|) ring operations, from the inverse
+    generator for negative k."""
+    if all(G.is_identity(p) for p in gen.parts):
+        return PhiGen(R.scale(k, gen.z), gen.parts, gen.provenance)
     spec = gen.z.context.spec
     acc = PhiGen(R.zero(gen.z.context), tuple(G.identity(spec) for _ in gen.parts),
                  gen.provenance)
@@ -584,9 +587,9 @@ class _OrbitSearch:
         self.goals = {}
 
     def _goal_translates(self, key: G.GroupElement) -> list:
-        """The non-zero sphere translates aligned with one class key, first
-        occurrences of (sphere, t) in order; memoized per key, the memo
-        cleared past max_states keys."""
+        """The non-zero sphere translates aligned with one class key, at
+        most one per aligned point, first occurrences of (sphere, t) in
+        order; memoized per key, the memo cleared past max_states keys."""
         out = self.goals.get(key)
         if out is not None:
             return out
@@ -597,13 +600,16 @@ class _OrbitSearch:
             for i, (sph, right) in enumerate(self.phi.sided_spheres):
                 for s, p in sph.points:
                     base = G.multiply(G.invert(p), u) if right else G.multiply(u, G.invert(p))
-                    for pad in self.pads[right]:
-                        t = G.multiply(base, pad) if right else G.multiply(pad, base)
-                        if t.length() > self.bounds.translate_len or (i, t) in seen:
-                            continue
-                        seen.add((i, t))
-                        if z := _sphere_element(self.ctx, t, sph.points, right):
-                            out.append(_translate_gen(self.phi, z, sph, t))
+                    padded = (G.multiply(base, pad) if right else G.multiply(pad, base)
+                              for pad in self.pads[right])
+                    ts = [t for t in padded
+                          if t.length() <= self.bounds.translate_len and (i, t) not in seen]
+                    seen.update((i, t) for t in ts)
+                    # a pad lies in the side that acts trivially on classes,
+                    # so every padded translate has the first one's z and
+                    # action; the pads matter only for translate_len
+                    if ts and (z := _sphere_element(self.ctx, ts[0], sph.points, right)):
+                        out.append(_translate_gen(self.phi, z, sph, ts[0]))
         self.goals[key] = out
         return out
 

@@ -204,3 +204,54 @@ def test_spec_mismatch_rejected():
     from selflink import SpecMismatch
     with pytest.raises(SpecMismatch):
         S.multiply(S.generator(FREE2, "x"), S.generator(FXZ, "x"))
+
+
+def _syllables(rng, spec, n):
+    """At most n raw syllables, exponents +-1 and +-2."""
+    return [(rng.randrange(len(spec.labels)), rng.choice((-2, -1, 1, 2)))
+            for _ in range(rng.randint(0, n))]
+
+
+def _inverse_syllables(sylls):
+    return [(i, -e) for i, e in reversed(sylls)]
+
+
+def _check_against_oracle(spec, a, b):
+    """make_element of the concatenated, or reversed and negated, syllables
+    is the oracle for multiply and invert."""
+    assert S.multiply(a, b) == S.make_element(spec, a.syllables + b.syllables)
+    assert S.invert(a) == S.make_element(spec, _inverse_syllables(a.syllables))
+    assert S.invert(S.invert(a)) == a
+
+
+@EVERY_KIND
+def test_products_and_inverses_match_the_normalizing_oracle(spec, rng):
+    """On seeded normal forms: random pairs; a b where b undoes a suffix of
+    a and goes on, which cancels down to the identity when it undoes all of
+    a; and in free x Z, central syllables on either side of the seam."""
+    central = [spec.central_index] if spec.kind == "free_times_z" else []
+    for _ in range(300):
+        a = S.make_element(spec, _syllables(rng, spec, 6))
+        _check_against_oracle(spec, a, S.make_element(spec, _syllables(rng, spec, 6)))
+        undo = _inverse_syllables(a.syllables)
+        assert S.multiply(a, S.make_element(spec, undo)) == S.identity(spec)
+        cut = rng.randint(0, len(a.syllables))
+        tail = _syllables(rng, spec, 2)
+        _check_against_oracle(
+            spec, a, S.make_element(spec, _inverse_syllables(a.syllables[cut:]) + tail))
+        for c in central:
+            k = rng.choice((-2, -1, 1, 2))
+            _check_against_oracle(spec, S.make_element(spec, list(a.syllables) + [(c, k)]),
+                                  S.make_element(spec, [(c, -k)] + undo + tail))
+
+
+@pytest.mark.parametrize("spec, a, b, product", [
+    (PROD, "x y z", "z^-1 y x", "x y^2 x"),
+    (PROD, "x z y", "y^-1 z^-1 x^-1", "1"),
+    (PROD_FXZ, "x t u v", "v^-1 u^-1 t x", "x^2 t^2"),
+    (PROD_FXZ, "u x v w^2", "w^-2 v^-1 x^-1 u", "u^2"),
+], ids=["free-runs", "identity", "fxz-runs", "free-runs-across-fxz"])
+def test_free_product_runs_merge_after_a_cancellation(spec, a, b, product):
+    a, b = S.parse_word(spec, a), S.parse_word(spec, b)
+    assert S.format_word(S.multiply(a, b)) == product
+    _check_against_oracle(spec, a, b)

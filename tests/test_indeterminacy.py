@@ -764,6 +764,58 @@ def _random_pair(rng, phi):
     return y1, y2
 
 
+def _per_pad_goal_translates(search, key):
+    """The oracle for _goal_translates: every padded translate that passes
+    the length check and is new builds its own sphere element."""
+    out, seen = [], set()
+    for u in (key, S.invert(key)) if search.inverts else (key,):
+        for i, (sph, right) in enumerate(search.phi.sided_spheres):
+            for _, p in sph.points:
+                base = S.multiply(S.invert(p), u) if right else S.multiply(u, S.invert(p))
+                for pad in search.pads[right]:
+                    t = S.multiply(base, pad) if right else S.multiply(pad, base)
+                    if t.length() > search.bounds.translate_len or (i, t) in seen:
+                        continue
+                    seen.add((i, t))
+                    if z := I._sphere_element(search.ctx, t, sph.points, right):
+                        out.append(I._translate_gen(search.phi, z, sph, t))
+    return out
+
+
+@pytest.mark.parametrize("spec", [FREE2, FXZ], ids=["free", "fxz"])
+@pytest.mark.parametrize("kind", ["spheres", "link"])
+def test_goal_translates_build_one_sphere_element_per_aligned_point(spec, kind, monkeypatch):
+    """A pad lies in the side that acts trivially on classes, so the padded
+    translates of one aligned point share its sphere element: by action,
+    the goal translates of every key a few searches met equal the per-pad
+    oracle's, generators, provenance and order included, and each key
+    builds at most one sphere element per (u, sphere, point).  The links
+    have a sphere on each side; short translate caps make the pads
+    decide which translates pass."""
+    rng = random.Random(2323)
+    calls, element = [], I._sphere_element
+    monkeypatch.setattr(I, "_sphere_element", lambda *a: calls.append(a) or element(*a))
+    padded = 0
+    for _ in range(3):
+        phi = _random_presentation(rng, spec, kind)
+        while kind == "link" and {r for _, r in phi.sided_spheres} != {False, True}:
+            phi = _random_presentation(rng, spec, kind)
+        for translate_len in (2, 4, 6):
+            search = I._OrbitSearch(phi, I.Bounds(depth=2, translate_len=translate_len))
+            for _ in range(3):
+                search.run(*_random_pair(rng, phi))
+            points = (1 + search.inverts) * sum(len(s.points) for s, _ in phi.sided_spheres)
+            for key in list(search.goals):
+                search.goals.clear()
+                calls.clear()
+                got = I._by_action(search._goal_translates(key), search.static)
+                assert len(calls) <= points
+                oracle = _per_pad_goal_translates(search, key)
+                assert list(got.items()) == list(I._by_action(oracle, search.static).items())
+                padded += len(oracle) > len(search.goals[key])
+    assert padded
+
+
 def _orbit_hit(phi, sep, pc, offsets, y1, y2):
     """The orbit lattice's hit for y1 and y2 in sep's image over the given
     offsets: a turn with its pushed context and offsets set on the
@@ -851,6 +903,26 @@ def test_power_step_equals_unit_steps(which):
             assert I._step(gen, k, y) == unit, k
             cert = I.Certificate(((gen, k),), (S.identity(FREE2),) * len(gen.parts))
             assert I.replay(cert, unit, y)
+
+
+def test_pure_power_is_one_scale(monkeypatch):
+    """A pure generator (z, 1) to the k is (k z, 1), built without a
+    group product, and acts as k unit steps."""
+    rng = random.Random(2324)
+    ctx = R.coset_ring(FREE2, S.parse_word(FREE2, "x y"))
+    gen = I.PhiGen(R.parse_ring(ctx, "+1*[x] -2*[y^2 x]"), (S.identity(FREE2),), "pure")
+    ys = [R.from_terms(ctx, [(random_word(rng, FREE2, 3), rng.choice([-1, 1]))
+                             for _ in range(rng.randint(0, 3))]) for _ in range(3)]
+    for k in (-7, -2, 2, 5, 10 ** 30):
+        for y in ys:
+            assert I._step(gen, k, y) == R.add(R.scale(k, gen.z), y)
+    for k in range(-6, 7):
+        unit = ys[0]
+        for _ in range(abs(k)):
+            unit = I._step(gen, 1 if k > 0 else -1, unit)
+        assert I._step(gen, k, ys[0]) == unit
+    monkeypatch.setattr(S.groups, "multiply", None)
+    assert I._power(gen, -3) == I.PhiGen(R.scale(-3, gen.z), gen.parts, "pure")
 
 
 def test_replay_of_a_huge_exponent_is_fast():
