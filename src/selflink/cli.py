@@ -25,7 +25,7 @@ from . import indeterminacy as I
 from . import scenario as SC
 from .errors import ParseError, SelfLinkError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _build_parser():
@@ -36,11 +36,9 @@ def _build_parser():
                     "3-manifolds with tractable fundamental groups.")
     p.add_argument("--depth", type=int, default=bounds.depth,
                    help="orbit search composition depth (default: %(default)s)")
-    p.add_argument("--translate-len", type=int, default=bounds.translate_len,
-                   help="word-length cap for sphere translates (default: %(default)s)")
     p.add_argument("--support-len", type=int, default=bounds.support_len,
-                   help="letter cap per class key during the search "
-                        "(default: %(default)s)")
+                   help="letter cap per class key and per sphere translate "
+                        "during the search (default: %(default)s)")
     p.add_argument("--max-states", type=int, default=bounds.max_states,
                    help="visited-state cap per search direction, and cap on "
                         "the key classes a lattice turn enumerates "
@@ -189,8 +187,7 @@ def run_examples(bounds: I.Bounds):
 
 def main(argv=None) -> int:
     opts = _build_parser().parse_args(argv)
-    bounds = I.Bounds(depth=opts.depth, translate_len=opts.translate_len,
-                      support_len=opts.support_len, max_states=opts.max_states)
+    bounds = I.Bounds(**{name: getattr(opts, name) for name in I.Bounds._fields})
     for name, value in bounds.to_record().items():
         if value < 0:
             print(f"error: --{name.replace('_', '-')} must be non-negative, "

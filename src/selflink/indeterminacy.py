@@ -63,15 +63,14 @@ from .errors import (InvariantViolation, LatitudeMismatch, NotSelfTrace,
 # bounds and generators
 
 
-class Bounds(G.value_type("Bounds", "depth translate_len support_len max_states",
-                          (6, 6, 16, 50000))):
+class Bounds(G.value_type("Bounds", "depth support_len max_states", (6, 16, 50000))):
     """The search and enumeration bounds of a decision:
 
-      depth          total composition depth of the orbit search
-      translate_len  word-length cap for materialized translates
-      support_len    letter cap per class key in a search state
-      max_states     visited-state cap per direction, and cap on the key
-                     classes a lattice turn enumerates
+      depth        total composition depth of the orbit search
+      support_len  letter cap per class key in a search state, and per
+                   goal-directed sphere translate
+      max_states   visited-state cap per direction, and cap on the key
+                   classes a lattice turn enumerates
     """
     __slots__ = ()
 
@@ -575,41 +574,31 @@ class _OrbitSearch:
         # enumerated sample of sphere translates
         translates = (_translate_gen(phi, z, sph, t)
                       for t in _ball(spec, G.all_generators(spec), 2, cap=60)
-                      if t.length() <= bounds.translate_len
                       for sph, right in phi.sided_spheres
                       if (z := _sphere_element(ctx, t, sph.points, right)))
         self.static = _by_action(translates, _conjugated_toroidal(phi, conj_ball, gen_cap))
-        # goal translates are padded by the class word on the sphere's side
-        self.pads = {right: [G.identity(spec)] + (
-            [side, G.invert(side)] if side is not None and not G.is_identity(side) else [])
-            for right, side in zip((False, True), ctx.sides)}
         self.inverts = ctx.inverts
         self.goals = {}
 
     def _goal_translates(self, key: G.GroupElement) -> list:
-        """The non-zero sphere translates aligned with one class key, at
-        most one per aligned point, first occurrences of (sphere, t) in
-        order; memoized per key, the memo cleared past max_states keys."""
+        """The non-zero sphere translates aligned with one class key: for u
+        the key (and its inverse in a one-sided ring), each sphere and each
+        point p, the translate t = u p^-1 (p^-1 u on the right), kept if it
+        has at most support_len letters; memoized per key, the memo cleared
+        past max_states keys."""
         out = self.goals.get(key)
         if out is not None:
             return out
         if len(self.goals) > self.bounds.max_states:
             self.goals.clear()
-        out, seen = [], set()
+        out = []
         for u in (key, G.invert(key)) if self.inverts else (key,):
-            for i, (sph, right) in enumerate(self.phi.sided_spheres):
-                for s, p in sph.points:
-                    base = G.multiply(G.invert(p), u) if right else G.multiply(u, G.invert(p))
-                    padded = (G.multiply(base, pad) if right else G.multiply(pad, base)
-                              for pad in self.pads[right])
-                    ts = [t for t in padded
-                          if t.length() <= self.bounds.translate_len and (i, t) not in seen]
-                    seen.update((i, t) for t in ts)
-                    # a pad lies in the side that acts trivially on classes,
-                    # so every padded translate has the first one's z and
-                    # action; the pads matter only for translate_len
-                    if ts and (z := _sphere_element(self.ctx, ts[0], sph.points, right)):
-                        out.append(_translate_gen(self.phi, z, sph, ts[0]))
+            for sph, right in self.phi.sided_spheres:
+                for _, p in sph.points:
+                    t = G.multiply(G.invert(p), u) if right else G.multiply(u, G.invert(p))
+                    if t.length() <= self.bounds.support_len and (
+                            z := _sphere_element(self.ctx, t, sph.points, right)):
+                        out.append(_translate_gen(self.phi, z, sph, t))
         self.goals[key] = out
         return out
 

@@ -234,9 +234,9 @@ def test_criterion_5_x2y_never_equal():
     phi = I.build_phi(k, toroidal=[L.Trace(k, k, (), gamma)],
                       spheres=[L.sphere_for_unlink_complement(gamma)])
     y = R.single(ctx, S.parse_word(spec, "x y x^-1"))
-    ladder = [I.Bounds(depth=2, translate_len=2, support_len=8, max_states=2000),
-              I.Bounds(depth=4, translate_len=4, support_len=12, max_states=8000),
-              I.Bounds(depth=6, translate_len=6, support_len=16, max_states=20000)]
+    ladder = [I.Bounds(depth=2, support_len=8, max_states=2000),
+              I.Bounds(depth=4, support_len=12, max_states=8000),
+              I.Bounds(depth=6, support_len=16, max_states=20000)]
     failures = []
     for b in ladder:
         # one label across the ladder so the integrity audit sees the

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import selflink.indeterminacy as I
-from selflink.cli import main
+from selflink.cli import _build_parser, main
 
 SCN = """\
 group free x y
@@ -75,10 +75,9 @@ def test_decide_command(scn_file, capsys):
 def test_json_report_schema(scn_file, capsys):
     assert main(["--json", "run", scn_file]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["schema"] == 2
+    assert rep["schema"] == 3
     assert rep["command"] == "run"
-    assert set(rep["bounds"]) == {"depth", "translate_len", "support_len",
-                                 "max_states"}
+    assert set(rep["bounds"]) == {"depth", "support_len", "max_states"}
     assert isinstance(rep["results"], list) and rep["results"]
     assert rep["results"][0]["verdict"] in {"equal", "distinct", "unknown"}
     assert "wall_ms" in rep["timing"]
@@ -126,7 +125,7 @@ def test_json_byte_stable_modulo_timing(scn_file, capsys):
 
 
 def test_strict_exit_code_on_unknown(unknown_file):
-    small = ["--depth", "2", "--translate-len", "2", "--support-len", "8"]
+    small = ["--depth", "2", "--support-len", "8"]
     assert main(small + ["run", unknown_file]) == 0
     assert main(["--strict"] + small + ["run", unknown_file]) == 2
 
@@ -228,16 +227,31 @@ def test_query_time_unknown_name_has_no_line_number(scn_file, capsys):
 
 
 def test_bounds_flags_are_threaded(scn_file, capsys):
-    assert main(["--json", "--depth", "3", "--translate-len", "2",
+    assert main(["--json", "--depth", "3",
                  "--support-len", "9", "--max-states", "700",
                  "decide", scn_file, "+1*[x]", "0", "P"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["bounds"] == {"depth": 3, "translate_len": 2,
-                             "support_len": 9, "max_states": 700}
+    assert rep["bounds"] == {"depth": 3, "support_len": 9, "max_states": 700}
 
 
-@pytest.mark.parametrize("flag", ["--depth", "--translate-len",
-                                  "--support-len", "--max-states"])
+BOUND_FLAGS = ["--" + name.replace("_", "-") for name in I.Bounds._fields]
+
+
+def test_one_bound_list_everywhere():
+    """The bounds of I.Bounds, the CLI's integer flags, the report schema's
+    required bounds and the flags line of docs/format.md name the same
+    bounds in the same order."""
+    parser_flags = [a.option_strings[0] for a in _build_parser()._actions
+                    if a.option_strings and a.type is int]
+    schema = json.loads(SCHEMA.read_text(encoding="utf-8"))
+    fmt = (SCHEMA.parent / "format.md").read_text(encoding="utf-8")
+    flags_line = fmt[fmt.index("Flags:"):fmt.index("(search bounds")]
+    assert parser_flags == BOUND_FLAGS
+    assert schema["properties"]["bounds"]["required"] == list(I.Bounds._fields)
+    assert re.findall(r"`(--[a-z-]+) [A-Z]`", flags_line) == BOUND_FLAGS
+
+
+@pytest.mark.parametrize("flag", BOUND_FLAGS)
 def test_negative_bounds_are_rejected(flag, scn_file, capsys):
     assert main([flag, "-1", "run", scn_file]) == 1
     captured = capsys.readouterr()

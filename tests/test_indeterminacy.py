@@ -374,8 +374,8 @@ def test_is_spherical_presented():
 
 
 def _bounds_ladder():
-    return [I.Bounds(depth=2, translate_len=2, support_len=8, max_states=2000),
-            I.Bounds(depth=4, translate_len=4, support_len=12, max_states=10000),
+    return [I.Bounds(depth=2, support_len=8, max_states=2000),
+            I.Bounds(depth=4, support_len=12, max_states=10000),
             I.Bounds()]
 
 
@@ -671,6 +671,30 @@ phi Q knot k toroidal lat spheres s2
 """
 
 
+X14_SCN = """\
+group abelian x y
+knot k = y
+trace lx : k -> k latitude x
+trace ly : k -> k latitude y
+sphere s points ( + 1 ) ( - x^2 )
+phi P knot k toroidal lx ly spheres s
+"""
+
+
+def test_long_goal_translates_reach_an_equal_at_default_bounds():
+    """The key group Z^2/<y> is infinite, so the search decides, and [x^14]
+    reaches [x^2] by six sphere translates, the longest x^12 aligned with
+    the key x^14: Equal at default bounds, with a certificate that
+    replays."""
+    scn = SC.parse_scenario(X14_SCN)
+    phi = scn.phis["P"]
+    y1, y2 = (R.parse_ring(phi.context, v) for v in ("+1*[x^14]", "+1*[x^2]"))
+    res = I.decide_equal(y1, y2, phi, I.Bounds())
+    assert res.verdict == "equal"
+    assert len(res.certificate.steps) == 6
+    assert I.replay(res.certificate, y1, y2)
+
+
 def test_a_second_sphere_keeps_its_aligned_translates():
     """P's orbit contains Q's, as P has Q's sphere s2 and one more: every
     translate t.s2 that Q certifies Equal to 0 at depth 2, P certifies too.
@@ -764,56 +788,58 @@ def _random_pair(rng, phi):
     return y1, y2
 
 
-def _per_pad_goal_translates(search, key):
-    """The oracle for _goal_translates: every padded translate that passes
-    the length check and is new builds its own sphere element."""
-    out, seen = [], set()
-    for u in (key, S.invert(key)) if search.inverts else (key,):
-        for i, (sph, right) in enumerate(search.phi.sided_spheres):
-            for _, p in sph.points:
-                base = S.multiply(S.invert(p), u) if right else S.multiply(u, S.invert(p))
-                for pad in search.pads[right]:
-                    t = S.multiply(base, pad) if right else S.multiply(pad, base)
-                    if t.length() > search.bounds.translate_len or (i, t) in seen:
-                        continue
-                    seen.add((i, t))
-                    if z := I._sphere_element(search.ctx, t, sph.points, right):
-                        out.append(I._translate_gen(search.phi, z, sph, t))
-    return out
-
-
 @pytest.mark.parametrize("spec", [FREE2, FXZ], ids=["free", "fxz"])
 @pytest.mark.parametrize("kind", ["spheres", "link"])
 def test_goal_translates_build_one_sphere_element_per_aligned_point(spec, kind, monkeypatch):
-    """A pad lies in the side that acts trivially on classes, so the padded
-    translates of one aligned point share its sphere element: by action,
-    the goal translates of every key a few searches met equal the per-pad
-    oracle's, generators, provenance and order included, and each key
-    builds at most one sphere element per (u, sphere, point).  The links
-    have a sphere on each side; short translate caps make the pads
-    decide which translates pass."""
+    """For every key a few searches met, _goal_translates builds one sphere
+    element per (u, sphere, point) whose translate t = u p^-1 (p^-1 u on
+    the right) has at most support_len letters, u the key or, in a
+    one-sided ring, its inverse, and none for any other t; its generators
+    are those elements' non-zero ones, in order.  The links have a sphere
+    on each side; short support_len caps decide which translates pass."""
     rng = random.Random(2323)
     calls, element = [], I._sphere_element
     monkeypatch.setattr(I, "_sphere_element", lambda *a: calls.append(a) or element(*a))
-    padded = 0
+    capped = 0
     for _ in range(3):
         phi = _random_presentation(rng, spec, kind)
         while kind == "link" and {r for _, r in phi.sided_spheres} != {False, True}:
             phi = _random_presentation(rng, spec, kind)
-        for translate_len in (2, 4, 6):
-            search = I._OrbitSearch(phi, I.Bounds(depth=2, translate_len=translate_len))
+        for support_len in (4, 6, 16):
+            search = I._OrbitSearch(phi, I.Bounds(depth=2, support_len=support_len))
             for _ in range(3):
                 search.run(*_random_pair(rng, phi))
-            points = (1 + search.inverts) * sum(len(s.points) for s, _ in phi.sided_spheres)
             for key in list(search.goals):
                 search.goals.clear()
                 calls.clear()
-                got = I._by_action(search._goal_translates(key), search.static)
-                assert len(calls) <= points
-                oracle = _per_pad_goal_translates(search, key)
-                assert list(got.items()) == list(I._by_action(oracle, search.static).items())
-                padded += len(oracle) > len(search.goals[key])
-    assert padded
+                got = search._goal_translates(key)
+                aligned = [(S.multiply(S.invert(p), u) if right else S.multiply(u, S.invert(p)),
+                            sph.points, right)
+                           for u in ((key, S.invert(key)) if search.inverts else (key,))
+                           for sph, right in phi.sided_spheres for _, p in sph.points]
+                kept = [a for a in aligned if a[0].length() <= support_len]
+                assert [a[1:] for a in calls] == kept
+                assert [g.z for g in got] == [z for a in calls if (z := element(*a))]
+                capped += len(kept) < len(aligned)
+    assert capped
+
+
+def test_goal_translates_longer_than_support_len_build_nothing(monkeypatch):
+    """A key longer than support_len plus the longest sphere point aligns
+    only translates over the cap, so it builds no sphere element."""
+    scn = SC.parse_scenario(X14_SCN)
+    phi = scn.phis["P"]
+    longest = max(p.length() for sph, _ in phi.sided_spheres for _, p in sph.points)
+    bounds = I.Bounds(support_len=8)
+    search = I._OrbitSearch(phi, bounds)
+    calls, element = [], I._sphere_element
+    monkeypatch.setattr(I, "_sphere_element", lambda *a: calls.append(a) or element(*a))
+    short = S.parse_word(phi.context.spec, "x^3")
+    assert search._goal_translates(short) and calls
+    calls.clear()
+    key = S.parse_word(phi.context.spec, f"x^{bounds.support_len + longest + 1}")
+    assert search._goal_translates(key) == []
+    assert calls == []
 
 
 def _orbit_hit(phi, sep, pc, offsets, y1, y2):

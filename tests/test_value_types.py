@@ -146,6 +146,6 @@ def test_bracket_reprs_are_unchanged():
 
 
 def test_bounds_defaults_and_record():
-    assert I.Bounds() == I.Bounds(6, 6, 16, 50000)
+    assert I.Bounds() == I.Bounds(6, 16, 50000)
     assert I.Bounds(max_states=7).to_record() == {
-        "depth": 6, "translate_len": 6, "support_len": 16, "max_states": 7}
+        "depth": 6, "support_len": 16, "max_states": 7}
