@@ -343,12 +343,15 @@ def _choose_orbit_rule(spec, left, right):
 
 def _conjugacy_min(spec, candidates):
     """The least conjugate of the candidates: the least rotation of the
-    words of their cyclic cores, renormalized."""
+    syllables of their cyclic cores, renormalized.  The least rotation of a
+    core's letters begins with its least letter, at the first letter of a
+    maximal run of it, and such a run begins a syllable; so one rotation
+    per syllable, not per letter, reaches it."""
     best = None
     for cand in candidates:
-        w = G.cyclic_core(cand).codes
-        for r in range(len(w)):
-            rot = G.make_element(spec, G._code_syllables(w[r:] + w[:r]))
+        s = G.cyclic_core(cand).syllables
+        for r in range(len(s)):
+            rot = G.make_element(spec, s[r:] + s[:r])
             if best is None or G.shortlex_key(rot) < G.shortlex_key(best):
                 best = rot
     return best

@@ -529,7 +529,7 @@ def centralizer_generators(spec: GroupSpec, gamma: GroupElement) -> list[GroupEl
 
 def cyclic_core(g: GroupElement) -> GroupElement:
     """A cyclically reduced conjugate of g; conjugacy keys minimize over the
-    rotations of its word."""
+    rotations of its syllables."""
     spec = g.spec
     _, runs = _cyclic_runs(g)
     if len(runs) == 1:

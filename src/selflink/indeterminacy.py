@@ -425,19 +425,15 @@ class _Turn:
     @functools.cached_property
     def relations(self) -> list:
         """The relations of the orbit lattice of Phi in the separator's
-        image, as (vector, source, offset) first occurrences in order.
-        Toroidal offsets move only under a link's biaction, sphere families
-        under every offset."""
+        image, as (vector, source, offset), every non-zero one in order:
+        the Lattice skips each that the ones before it span.  Toroidal
+        offsets move only under a link's biaction, sphere families under
+        every offset."""
         phi = self.phi
-        families = [(g, self._mover(g.z.terms), self.shifts) for g in phi.toroidal if g.z]
+        families = [(g, self._mover(g.z.terms), self.shifts) for g in phi.toroidal]
         families += [(sph, self._mover((p, s) for s, p in sph.points), self.offsets)
                      for sph, _ in phi.sided_spheres]
-        relations = {}
-        for src, move, moves in families:
-            for t in moves:
-                if rel := move(t):
-                    relations.setdefault(frozenset(rel.items()), (rel, src, t))
-        return list(relations.values())
+        return [(rel, src, t) for src, move, moves in families for t in moves if (rel := move(t))]
 
     @functools.cached_property
     def lattice(self) -> S.Lattice:

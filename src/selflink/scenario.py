@@ -29,8 +29,8 @@ from . import linking as L
 from .errors import (InvariantViolation, ParseError, SelfLinkError,
                      UnresolvedReference)
 
-_KINDS = {"free": G.free, "abelian": G.free_abelian,
-          "free_times_z": G.free_times_z}
+# the keyword of each group kind but the product, which names its factors' kinds
+_KINDS = {"free": G.FREE, "abelian": G.FREE_ABELIAN, "free_times_z": G.FREE_TIMES_Z}
 
 # the table and kind of each named declaration; phi and philink declare
 # presentations in one namespace
@@ -168,11 +168,11 @@ def _dispatch(scn: Scenario, tokens, line_no):
                 fk = tokens[i + 1]
                 if fk not in _KINDS:
                     raise ParseError(f"unknown factor kind {fk!r}", line=line_no)
-                factors.append(_KINDS[fk](*tokens[i + 2:j]))
+                factors.append(G.GroupSpec(_KINDS[fk], tuple(tokens[i + 2:j])))
                 i = j + 1
             scn.spec = G.free_product(*factors)
         elif kind in _KINDS:
-            scn.spec = _KINDS[kind](*tokens[2:])
+            scn.spec = G.GroupSpec(_KINDS[kind], tuple(tokens[2:]))
         else:
             raise ParseError(f"unknown group kind {kind!r}", line=line_no)
         return
@@ -289,8 +289,7 @@ def print_scenario(scn: Scenario) -> str:
     out = []
     spec = scn.spec
     if spec is not None:
-        kinds = {G.FREE: "free", G.FREE_ABELIAN: "abelian",
-                 G.FREE_TIMES_Z: "free_times_z"}
+        kinds = {kind: word for word, kind in _KINDS.items()}
         if spec.kind == G.FREE_PRODUCT:
             parts = " ".join(f"[ {kinds[f.kind]} {' '.join(f.labels)} ]"
                              for f in spec.factors)
@@ -358,9 +357,7 @@ def print_scenario(scn: Scenario) -> str:
 
 def _find_phi(scn: Scenario, name: str | None):
     if name is not None:
-        if name not in scn.phis:
-            raise UnresolvedReference(f"unknown phi {name!r}")
-        return scn.phis[name]
+        return _require(scn, scn.phis, name, "phi", None)
     if len(scn.phis) != 1:
         raise UnresolvedReference(
             "query needs an explicit phi name (scenario has "

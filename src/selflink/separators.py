@@ -17,7 +17,6 @@ lattice), and where it has full rank gives one offset per class
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -242,7 +241,6 @@ def cyclic_separator(spec: G.GroupSpec, m: int) -> Separator:
     return Separator(f"mod{m}", spec, ab.images, (m,) * len(spec.labels))
 
 
-@functools.lru_cache(maxsize=64)
 def default_separator_suite(spec: G.GroupSpec) -> tuple[Separator, ...]:
     """Abelianization, then the coordinatewise cyclic reductions mod 2
     through mod 12: the order in which the lattice stage tries them."""

@@ -9,7 +9,9 @@ import pytest
 
 import selflink as S
 import selflink.cosets as R
-from conftest import AB1, AB2, FREE2, FXZ, PROD, random_ring_element, random_word
+import selflink.groups as G
+from conftest import (AB1, AB2, FREE2, FREE3, FXZ, PROD, PROD_FXZ, random_ring_element,
+                      random_word)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +292,51 @@ def test_conjugacy_ring_identifies_conjugates(rng):
             assert R.canonicalize(ctx, S.conjugate(w, a)) == key
             if key is not None:
                 assert key == oracle_min(ctx, w)[0], S.format_word(w)
+
+
+def _letter_rotation_key(spec, g):
+    """The conjugacy key by the letter rotation rule: every rotation of the
+    letters of the cyclic cores of g and g^-1, regrouped into syllables and
+    renormalized, the shortlex-least kept; None for the identity."""
+    if S.is_identity(g):
+        return None
+    best = None
+    for cand in (g, S.invert(g)):
+        w = G.cyclic_core(cand).codes
+        for r in range(len(w)):
+            rot = G.make_element(spec, G._code_syllables(w[r:] + w[:r]))
+            if best is None or G.shortlex_key(rot) < G.shortlex_key(best):
+                best = rot
+    return best
+
+
+def test_conjugacy_keys_match_the_letter_rotation_oracle():
+    rng = random.Random(7301)
+    compared = 0
+    for spec in (FREE2, FREE3, AB1, AB2, FXZ, PROD, PROD_FXZ):
+        ctx = R.conjugacy_ring(spec)
+        # powers of the generators make syllables longer than one letter
+        gens = [S.power(a, e) for a in S.all_generators(spec) for e in (1, 2, 3)]
+        for _ in range(1000):
+            c = random_word(rng, spec, 8, gens)
+            for g in (c, S.conjugate(c, random_word(rng, spec, 3, gens))):
+                assert R.canonicalize(ctx, g) == _letter_rotation_key(spec, g), S.format_word(g)
+                compared += 1
+    assert compared == 7 * 2000
+
+
+def test_conjugacy_keys_rotate_syllables_not_letters(monkeypatch):
+    spec = S.free_times_z("x", "y", "t")
+    g = S.parse_word(spec, "x y t^5000")
+    cands = [g, S.invert(g)]
+    syllables = sum(len(G.cyclic_core(c).syllables) for c in cands)
+    built = []
+    make = G.make_element
+    monkeypatch.setattr(G, "make_element", lambda *a: built.append(a) or make(*a))
+    assert R._conjugacy_min(spec, cands) == g
+    # the cyclic core, then one renormalized rotation per syllable; the
+    # letter rotation rule built one element per letter, about 10 000
+    assert 0 < len(built) <= 3 * syllables
 
 
 def test_two_sided_ring_keeps_identity_class():

@@ -842,6 +842,110 @@ def test_goal_translates_longer_than_support_len_build_nothing(monkeypatch):
     assert calls == []
 
 
+def _check_contract(results, bounds):
+    """Every Equal replays and every Unknown carries its bounds; the
+    verdicts seen, as a set."""
+    for y1, y2, res in results:
+        if res.verdict == "equal":
+            assert I.replay(res.certificate, y1, y2)
+        if res.verdict == "unknown":
+            assert res.bounds == bounds
+    return {res.verdict for _, _, res in results}
+
+
+def test_conjugated_toroidal_generators_stop_at_the_cap():
+    """The link with sides x y t and t^3 in free x Z, one link trace per
+    centralizer generator as _random_presentation builds them, has 29
+    outer conjugators and 5 toroidal generators: 145 conjugated candidates,
+    with more distinct actions than the link's cap of 60.  _by_action keeps
+    the first 60 actions and stops there."""
+    spec = S.free_times_z("x", "y", "t")
+    rng = random.Random(15)
+    one = S.identity(spec)
+
+    def points(count):
+        return tuple((rng.choice((1, -1)), random_word(rng, spec, 3))
+                     for _ in range(rng.randint(0, count)))
+    k1, k2 = L.Knot("k1", S.parse_word(spec, "x y t")), L.Knot("k2", S.parse_word(spec, "t^3"))
+    t1 = [L.LinkTrace(L.Trace(k1, k1, points(2), z), L.Trace(k2, k2, points(1), one), points(2))
+          for z in S.centralizer_generators(spec, k1.gamma)]
+    t2 = [L.LinkTrace(L.Trace(k1, k1, points(1), one), L.Trace(k2, k2, points(2), z), points(2))
+          for z in S.centralizer_generators(spec, k2.gamma)]
+    phi = I.build_phi_link(k1, k2, t1, t2)
+    ball, cap, _ = I._SIZES[2]
+    assert len(I._conjugators(phi, *ball)) * len(phi.toroidal) == 145
+    every = list(I._conjugated_toroidal(phi, ball, None).values())
+    assert len(every) > cap == 60
+    bounds = I.Bounds(depth=2)
+    search = I._OrbitSearch(phi, bounds)
+    phi._searches[bounds] = search
+    assert [g for g in search.static.values() if g.provenance.startswith("conj[")] == every[:cap]
+    pairs = [_random_pair(rng, phi) for _ in range(6)]
+    verdicts = _check_contract([(y1, y2, I.decide_equal(y1, y2, phi, bounds))
+                                for y1, y2 in pairs], bounds)
+    assert "equal" in verdicts
+
+
+def _max_states_2_results(monkeypatch):
+    """Decisions at max_states 2 on seeded knots with spheres, with the
+    goal memo's size after each _goal_translates call and, per search run,
+    its result and whether some state stopped before its last neighbour."""
+    rng = random.Random(2612)
+    bounds = I.Bounds(max_states=2)
+    sizes, runs, cut = [], [], []
+    goal, neighbors, run = (I._OrbitSearch._goal_translates, I._OrbitSearch._neighbors,
+                            I._OrbitSearch.run)
+
+    def counting_goal(self, key):
+        out = goal(self, key)
+        sizes.append(len(self.goals))
+        return out
+
+    def watched_neighbors(self, y):
+        done = False
+        try:
+            yield from neighbors(self, y)
+            done = True
+        finally:
+            cut[-1] |= not done
+
+    def watched_run(self, y1, y2):
+        cut.append(False)
+        cert = run(self, y1, y2)
+        runs.append((cert, cut[-1]))
+        return cert
+    monkeypatch.setattr(I._OrbitSearch, "_goal_translates", counting_goal)
+    monkeypatch.setattr(I._OrbitSearch, "_neighbors", watched_neighbors)
+    monkeypatch.setattr(I._OrbitSearch, "run", watched_run)
+    results = []
+    for spec in (FREE2, FXZ):
+        for _ in range(3):
+            phi = _random_presentation(rng, spec, "spheres")
+            for _ in range(3):
+                y1, y2 = _random_pair(rng, phi)
+                results.append((y1, y2, I.decide_equal(y1, y2, phi, bounds)))
+    return bounds, results, sizes, runs
+
+
+def test_goal_memo_resets_past_max_states(monkeypatch):
+    """At max_states 2 the searches meet more than 3 class keys, and the
+    goal memo is cleared whenever it holds more than 2, so it never holds
+    more than 3."""
+    bounds, results, sizes, _ = _max_states_2_results(monkeypatch)
+    assert max(sizes) == 3
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    assert {"equal", "unknown"} <= _check_contract(results, bounds)
+
+
+def test_search_stops_a_state_at_max_states(monkeypatch):
+    """At max_states 2 a run that finds no certificate stops expanding a
+    state before its last neighbour: only the max_states break can, since
+    the other break needs a meet."""
+    bounds, results, _, runs = _max_states_2_results(monkeypatch)
+    assert any(cert is None and cut for cert, cut in runs)
+    assert {"equal", "unknown"} <= _check_contract(results, bounds)
+
+
 def _orbit_hit(phi, sep, pc, offsets, y1, y2):
     """The orbit lattice's hit for y1 and y2 in sep's image over the given
     offsets: a turn with its pushed context and offsets set on the

@@ -2,6 +2,7 @@
 connected-sum additivity of the conjugacy-class invariant."""
 
 import random
+import time
 
 import pytest
 
@@ -196,3 +197,16 @@ def test_lambda_link_lives_in_two_sided_ring():
     assert y.context.flavor == R.TWO_SIDED
     # x (x y) = (x y) y in the double coset, so both words hit the same class
     assert y == L.lambda_link(L.LinkTrace(h1, h2, ((1, S.parse_word(FREE2, "x^2 y")),)))
+
+
+@pytest.mark.parametrize("spec, word", [
+    (S.free_times_z("x", "y", "t"), "x y t^1000000"),
+    (FREE2, "x^1000000 y"),
+    (AB2, "x^1000000 y"),
+], ids=["free_times_z", "free", "abelian"])
+def test_mu_pi_of_a_huge_exponent_is_quick(spec, word):
+    g = S.parse_word(spec, word)
+    t0 = time.perf_counter()
+    y = L.mu_pi(spec, [(1, g)])
+    assert time.perf_counter() - t0 < 1.0
+    assert y.terms == ((g, 1),)
