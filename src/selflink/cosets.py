@@ -17,11 +17,12 @@ Only this module decodes a flavor: a context names its quotient by
 ``sides`` and ``inverts``, and ``biact`` is the one termwise action.
 
 A class key is the shortlex-least element of its orbit, so class equality
-is word equality.  Elements are stored as tuples ``(context, terms)``, the
-terms (class key, coefficient) pairs in shortlex order of the keys, so
-equality and hashing are tuple operations, run in C.  Elements serialize
-as signed integer-coefficient sums of class keys in shortlex order, e.g.
-``+1*[x] -1*[x y]``.
+is word equality (free double cosets count lengths before building words).
+Elements are stored as tuples ``(context, terms)``, the terms (class key,
+coefficient) pairs in shortlex order of the keys, so equality and hashing
+are tuple operations, run in C, and a sum is one merge of two term lists.
+Elements serialize as signed integer-coefficient sums of class keys in
+shortlex order, e.g. ``+1*[x] -1*[x y]``.
 """
 
 from __future__ import annotations
@@ -180,12 +181,12 @@ def _orbit_min(spec, candidates, left, right):
 # (GroupElement.codes).
 
 
-def _seam(a, b):
-    """The reduced product of two reduced code tuples: cancel at the seam."""
+def _cancelled(a, b):
+    """The number of letters cancelled where code tuples a and b meet."""
     k, n = 0, min(len(a), len(b))
     while k < n and a[-1 - k] == b[k] ^ 1:
         k += 1
-    return a[:len(a) - k] + b[k:]
+    return k
 
 
 def _common_root_length(a, b):
@@ -231,9 +232,11 @@ def _free_orbit_min(spec, left_periods, right_periods, left_powers,
     side, because a cyclically reduced word and its inverse start with
     different letters.  The least element is left^n core right^m for some
     power codes in left_powers and right_powers, which _free_windows
-    sizes.
+    sizes, the right ones by first letter: only m = 0 and the powers that
+    cancel at the head's end can win.  Lengths are counted at the seams
+    first, and only a word no longer than the best so far is built.
     """
-    best = None
+    best = (math.inf,)
     for cand in candidates:
         w = cand.codes
         s, e = 0, len(w)
@@ -245,11 +248,13 @@ def _free_orbit_min(spec, left_periods, right_periods, left_powers,
                 e -= len(p)
         core = w[s:e]
         for a in left_powers:
-            head = _seam(a, core)
-            for b in right_powers:
-                word = _seam(head, b)
-                key = (len(word), word)
-                if best is None or key < best:
+            k = _cancelled(a, core)
+            head = a[:len(a) - k] + core[k:]
+            h = len(head)
+            for b in ((),) + right_powers.get(head[-1] ^ 1 if head else None, ()):
+                k = _cancelled(head, b)
+                n = h + len(b) - 2 * k
+                if n <= best[0] and (key := (n, head[:h - k] + b[k:])) < best:
                     best = key
     return G._from_codes(spec, best[1])
 
@@ -283,9 +288,10 @@ def _central_orbit_min(spec, t, k, candidates):
 
 
 def _free_windows(a, b):
-    """Codes of left^n and right^m over the ranges of n and m that hold
-    the least element of {left^n core right^m}, for the codes a and b of
-    cyclically reduced sides and a peeled core.
+    """Codes of left^n, and of right^m keyed by their first letter, over
+    the ranges of n and m that hold the least element of
+    {left^n core right^m}, for the codes a and b of cyclically reduced
+    sides and a peeled core.
 
     The least element is shortest, so its reduced word neither starts with
     left^+-1 nor ends with right^+-1.  Say n > 0.  Of the n|a| letters of
@@ -313,7 +319,9 @@ def _free_windows(a, b):
         if root:
             reach_a = max(reach_a, len(b) // root + 2)
             reach_b = max(reach_b, len(a) // root + 2)
-    return _powers(a, reach_a), _powers(b, reach_b)
+    rights = _powers(b, reach_b)
+    return _powers(a, reach_a), {p[0]: tuple(q for q in rights if q[:1] == p[:1])
+                                 for p in rights if p}
 
 
 def _choose_orbit_rule(spec, left, right):
@@ -433,11 +441,23 @@ def _check_ctx(a: RingElement, b: RingElement):
 
 
 def add(a: RingElement, b: RingElement) -> RingElement:
+    """a + b: one merge of the two shortlex-ordered term lists, zero sums
+    dropped."""
     _check_ctx(a, b)
-    acc = dict(a.terms)
-    for k, c in b.terms:
-        acc[k] = acc.get(k, 0) + c
-    return RingElement(a.context, _sorted_terms(acc))
+    s, t, out, i, j = a.terms, b.terms, [], 0, 0
+    while i < len(s) and j < len(t):
+        (k, c), (h, d) = s[i], t[j]
+        if k == h:
+            if c + d:
+                out.append((k, c + d))
+            i, j = i + 1, j + 1
+        elif G.shortlex_key(k) < G.shortlex_key(h):
+            out.append(s[i])
+            i += 1
+        else:
+            out.append(t[j])
+            j += 1
+    return RingElement(a.context, tuple(out) + s[i:] + t[j:])
 
 
 def negate(a: RingElement) -> RingElement:

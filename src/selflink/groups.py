@@ -212,8 +212,13 @@ class GroupElement(value_type("GroupElement", "spec syllables")):
         """The word spelled as shortlex codes, one per letter."""
         return _codes(self.syllables)
 
-    def length(self) -> int:
+    @cached_property
+    def _length(self) -> int:
+        """The number of letters, counted once per element."""
         return sum(abs(e) for _, e in self.syllables)
+
+    def length(self) -> int:
+        return self._length
 
 
 def make_element(spec: GroupSpec, sylls) -> GroupElement:

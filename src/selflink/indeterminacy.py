@@ -356,44 +356,14 @@ def _abelian_applicable(phi: PhiGroup) -> bool:
     return any(t.exact for t in phi._turns)
 
 
-def _abelian_certificate(phi, relations, hit) -> Certificate:
-    """The Equal certificate of an exact hit: one step per relation used,
-    its exponent the size-reduced lattice coefficient, its z rebuilt in the
-    ring from the relation's class vectors."""
-    spec = phi.context.spec
-    one = G.identity(spec)
-
-    def word(v):
-        return G.make_element(spec, enumerate(v))
-    shift, coeffs = hit
-    link = _shifts_keys(phi)
-    c = (word(shift), one) if link else (one,)
-    # every step is a pure generator (z, 1).  replay applies the steps to y2
-    # and c last, which moves the offsets too; undo c on each z to compensate
-    c_inv = tuple(G.invert(a) for a in c)
-    steps = []
-    for (rel, src, t), k in zip(relations, coeffs):
-        if not k:
-            continue
-        z = R.from_terms(phi.context, [(word(v), a) for v, a in rel.items()])
-        toroidal = isinstance(src, PhiGen)
-        name = src.provenance if toroidal else f"spherical[{src.label}]"
-        if link:
-            name = f"shift[{name},{G.format_word(word(t))}]"
-        elif not toroidal:
-            name += f"@{G.format_word(word(t))}"
-        steps.append((PhiGen(_outer(c_inv, z), (one,) * len(c), name), k))
-    return Certificate(tuple(steps), c)
-
-
 class _Turn:
     """One separator's turn of the lattice stage on a presentation: its
     pushed context, whether it decides exactly, its offsets and outer
-    shifts, and the orbit relations and their Lattice, each built on first
-    use.  A query pushes only its own two values."""
+    shifts, the orbit relations, their Lattice and certificate steps, each
+    built on first use.  A query pushes only its own two values."""
 
     def __init__(self, phi: PhiGroup, sep: S.Separator):
-        self.phi, self.sep = phi, sep
+        self.phi, self.sep, self._steps = phi, sep, {}
 
     @functools.cached_property
     def pc(self) -> S.PushedContext:
@@ -439,15 +409,54 @@ class _Turn:
     def lattice(self) -> S.Lattice:
         return S.Lattice([r for r, _, _ in self.relations])
 
-    def hit(self, y1, y2):
+    def hit(self, y1, y2, diff=None):
         """(shift, coefficients) for the first outer shift of y2 whose
-        difference from y1 is in the orbit lattice, or None."""
-        v1, move2 = self._mover(y1.terms)(self.offsets[0]), self._mover(y2.terms)
-        for t in self.shifts:
-            coeffs = S.lattice_member(self.lattice, _difference(v1, move2(t)))
+        difference from y1 is in the orbit lattice, or None.  Push is
+        linear: a knot's one shift pushes diff = y1 - y2 once, a link's
+        y1 once and y2 once per shift."""
+        o = self.offsets[0]
+        if _shifts_keys(self.phi):
+            v1, move2 = self._mover(y1.terms)(o), self._mover(y2.terms)
+            vectors = (_difference(v1, move2(t)) for t in self.shifts)
+        else:
+            vectors = [self._mover((y1 - y2 if diff is None else diff).terms)(o)]
+        for t, v in zip(self.shifts, vectors):
+            coeffs = S.lattice_member(self.lattice, v)
             if coeffs is not None:
                 return t, coeffs
         return None
+
+    def certificate(self, hit) -> Certificate:
+        """The Equal certificate of an exact hit: one step per relation
+        used, its exponent the size-reduced lattice coefficient."""
+        spec = self.phi.context.spec
+        one = G.identity(spec)
+
+        def word(v):
+            return G.make_element(spec, enumerate(v))
+        shift, coeffs = hit
+        link = _shifts_keys(self.phi)
+        c = (word(shift), one) if link else (one,)
+        # every step is a pure generator (z, 1).  replay applies c after the
+        # steps, which moves the offsets too; undo c on each z to compensate
+        c_inv = tuple(G.invert(a) for a in c)
+        steps = []
+        for i, k in enumerate(coeffs):
+            if not k:
+                continue
+            if i not in self._steps:
+                rel, src, t = self.relations[i]
+                z = R.from_terms(self.phi.context, [(word(v), a) for v, a in rel.items()])
+                toroidal = isinstance(src, PhiGen)
+                name = src.provenance if toroidal else f"spherical[{src.label}]"
+                if link:
+                    name = f"shift[{name},{G.format_word(word(t))}]"
+                elif not toroidal:
+                    name += f"@{G.format_word(word(t))}"
+                self._steps[i] = z, name
+            z, name = self._steps[i]
+            steps.append((PhiGen(_outer(c_inv, z), (one,) * len(c), name), k))
+        return Certificate(tuple(steps), c)
 
 
 def _lattice_stage(y1, y2, phi, max_states) -> DecisionResult | None:
@@ -457,13 +466,13 @@ def _lattice_stage(y1, y2, phi, max_states) -> DecisionResult | None:
     turn with more than max_states key classes abstains before it lists
     them."""
     enumerates = _enumerates(phi)
+    diff = None if _shifts_keys(phi) else y1 - y2
     for turn in phi._turns:
         if enumerates and turn.pc.classes > max_states:
             continue
-        hit = turn.hit(y1, y2)
+        hit = turn.hit(y1, y2, diff)
         if turn.exact and hit is not None:
-            return DecisionResult("equal", certificate=_abelian_certificate(
-                phi, turn.relations, hit))
+            return DecisionResult("equal", certificate=turn.certificate(hit))
         if turn.exact:
             return DecisionResult("distinct", separator="abelian-lattice",
                                   values=(R.format_ring(y1), R.format_ring(y2)))
@@ -573,6 +582,7 @@ class _OrbitSearch:
                       for sph, right in phi.sided_spheres
                       if (z := _sphere_element(ctx, t, sph.points, right)))
         self.static = _by_action(translates, _conjugated_toroidal(phi, conj_ball, gen_cap))
+        self.edges = {a: (g, g.inverse()) for a, g in self.static.items()}
         self.inverts = ctx.inverts
         self.goals = {}
 
@@ -580,11 +590,11 @@ class _OrbitSearch:
         """The non-zero sphere translates aligned with one class key: for u
         the key (and its inverse in a one-sided ring), each sphere and each
         point p, the translate t = u p^-1 (p^-1 u on the right), kept if it
-        has at most support_len letters; memoized per key, the memo cleared
-        past max_states keys."""
-        out = self.goals.get(key)
-        if out is not None:
-            return out
+        has at most support_len letters; memoized per key with each
+        translate's edge, the memo cleared past max_states keys."""
+        memo = self.goals.get(key)
+        if memo is not None:
+            return memo[0]
         if len(self.goals) > self.bounds.max_states:
             self.goals.clear()
         out = []
@@ -595,7 +605,7 @@ class _OrbitSearch:
                     if t.length() <= self.bounds.support_len and (
                             z := _sphere_element(self.ctx, t, sph.points, right)):
                         out.append(_translate_gen(self.phi, z, sph, t))
-        self.goals[key] = out
+        self.goals[key] = out, [(g, g.inverse()) for g in out]
         return out
 
     def _admissible(self, y: R.RingElement, term_cap: int) -> bool:
@@ -604,11 +614,16 @@ class _OrbitSearch:
 
     def _neighbors(self, y: R.RingElement):
         """Each action on y and its inverse, the static generators first,
-        then the translates aligned with the support of y."""
-        goal = itertools.chain.from_iterable(map(self._goal_translates, y.support()))
-        for gen in _by_action(goal, self.static).values():
-            yield gen, 1, _step(gen, 1, y)
-            yield gen, -1, _step(gen, -1, y)
+        then the translates aligned with the support of y: one act per
+        edge, each generator's inverse built once with it."""
+        edges = dict(self.edges)
+        for key in y.support():
+            self._goal_translates(key)
+            for gen, inv in self.goals[key][1]:
+                edges.setdefault((gen.z, gen.parts), (gen, inv))
+        for gen, inv in edges.values():
+            yield gen, 1, act(gen, y)
+            yield gen, -1, act(inv, y)
 
     def run(self, y1: R.RingElement, y2: R.RingElement):
         """A Certificate carrying y2 to y1, or None within bounds."""

@@ -207,6 +207,75 @@ def test_conjugate_root_sides_match_the_oracle():
             check_against_oracle(ctx, w)
 
 
+def _seam(a, b):
+    """The reduced product of two reduced code tuples: cancel at the seam."""
+    k, n = 0, min(len(a), len(b))
+    while k < n and a[-1 - k] == b[k] ^ 1:
+        k += 1
+    return a[:len(a) - k] + b[k:]
+
+
+def _full_window_scan(ctx, candidates):
+    """The free-group closed form with no pruning: each candidate peeled,
+    then every word left^n core right^m over the whole window of
+    _free_windows built and compared."""
+    spec, left_periods, right_periods, left_powers, right_powers = ctx._orbit_rule.args
+    rights = [()] + [b for bs in right_powers.values() for b in bs]
+    best = None
+    for cand in candidates:
+        w = cand.codes
+        s, e = 0, len(w)
+        for p in left_periods:
+            while w[s:s + len(p)] == p:
+                s += len(p)
+        for p in right_periods:
+            while e - s >= len(p) and w[e - len(p):e] == p:
+                e -= len(p)
+        for a in left_powers:
+            head = _seam(a, w[s:e])
+            for b in rights:
+                word = _seam(head, b)
+                if best is None or (len(word), word) < (len(best), best):
+                    best = word
+    return G._from_codes(spec, best)
+
+
+# sides of free-group orbits: roots, proper powers, a common-root pair,
+# the trivial side, and one that is not cyclically reduced
+_FREE_SIDES = ["x", "x y", "x^2", "x y x y", "x^7", "x^9", "1", "y x y^-1"]
+
+
+def test_free_double_coset_scan_matches_the_full_window_scan():
+    """canonicalize in free groups of rank 2 and 3, on seeded words of
+    length 0-12, agrees with the unpruned scan over the same windows: in
+    coset rings, whose candidates are g and g^-1, and in two-sided rings
+    over every ordered pair of sides.  A side that is not cyclically
+    reduced still goes to _orbit_min."""
+    rng = random.Random(2727)
+    rules = {}
+    for spec in (FREE2, FREE3):
+        sides = [S.parse_word(spec, w) for w in _FREE_SIDES]
+        contexts = [R.coset_ring(spec, g) for g in sides]
+        contexts += [R.two_sided_ring(spec, g, d) for g in sides for d in sides]
+        for ctx in contexts:
+            rule = ctx._orbit_rule.func
+            rules[rule] = rules.get(rule, 0) + 1
+            for _ in range(40):
+                w = random_word(rng, spec, 12)
+                key = R.canonicalize(ctx, w)
+                if rule is not R._free_orbit_min:
+                    continue
+                if ctx.inverts:
+                    want = _full_window_scan(ctx, [w, S.invert(w)])
+                    want = None if S.is_identity(want) else want
+                else:
+                    want = _full_window_scan(ctx, [w])
+                assert key == want, (ctx.gamma, ctx.delta, S.format_word(w))
+    # 2 specs x (8 coset rings + 64 two-sided rings); a non-cyclically
+    # reduced side on either side sends 1 + 15 of each spec's 72 to _orbit_min
+    assert rules == {R._free_orbit_min: 112, R._orbit_min: 32}
+
+
 @pytest.mark.parametrize("spec, gamma, delta, word, want", [
     (FXZ, "x t^7", "x t^9", "t", "x"),      # (x t^7)^5 t (x t^9)^-4 = x
     (PROD, "z^7", "z^9", "z", "1"),         # z^-28 z z^27 = 1
@@ -365,6 +434,48 @@ def test_ring_abelian_group_laws(rng):
         assert R.add(a, R.negate(a)) == z
         assert R.scale(3, a) == R.add(a, R.add(a, a))
         assert R.scale(-1, a) == R.negate(a)
+
+
+def _dict_and_sort_add(a, b):
+    """a + b by accumulating coefficients in a dict and sorting its non-zero
+    terms by shortlex key."""
+    acc = dict(a.terms)
+    for k, c in b.terms:
+        acc[k] = acc.get(k, 0) + c
+    terms = sorted(((k, c) for k, c in acc.items() if c), key=lambda kc: S.shortlex_key(kc[0]))
+    return R.RingElement(a.context, tuple(terms))
+
+
+def _every_flavor(rng, spec):
+    gamma, delta = (random_word(rng, spec, 2) for _ in range(2))
+    return [R.coset_ring(spec, gamma), R.two_sided_ring(spec, gamma, delta),
+            R.conjugacy_ring(spec), R.plain_ring(spec), R.reduced_ring(spec)]
+
+
+def test_add_merges_like_dict_and_sort(monkeypatch):
+    """add agrees with the dict-and-sort rule on seeded elements over every
+    spec of conftest and every flavor: partly and wholly cancelling sums,
+    an empty operand, and y + (-y) among them; and it never sorts."""
+    rng = random.Random(1414)
+    pairs = []
+    for spec in (FREE2, FREE3, AB1, AB2, FXZ, PROD, PROD_FXZ):
+        for ctx in _every_flavor(rng, spec):
+            for _ in range(30):
+                a = random_ring_element(rng, ctx, 5, 4)
+                b = random_ring_element(rng, ctx, 5, 4)
+                # b with some of a's terms cancelled and some doubled
+                part = R.RingElement(ctx, tuple(t for t in a.terms if rng.random() < 0.5))
+                pairs += [(a, b), (a, R.add(b, R.negate(part))), (R.scale(2, part), R.negate(a)),
+                          (a, R.negate(a)), (a, R.zero(ctx)), (R.zero(ctx), b)]
+    calls = []
+    sorted_terms = R._sorted_terms
+    monkeypatch.setattr(R, "_sorted_terms", lambda acc: calls.append(acc) or sorted_terms(acc))
+    for a, b in pairs:
+        assert R.add(a, b) == _dict_and_sort_add(a, b)
+    assert not calls
+    sums = [R.add(a, b) for a, b in pairs]
+    assert sum(not y for y in sums) > len(pairs) // 6
+    assert sum(len(y.terms) < len(a.terms) + len(b.terms) for (a, b), y in zip(pairs, sums) if y)
 
 
 def test_conj_act_is_additive_action(rng):

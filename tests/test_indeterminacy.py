@@ -1303,3 +1303,72 @@ def test_orbit_search_seeds_one_per_action_on_the_bench_batch(monkeypatch):
         assert len(values) <= (137 if fam == "free_times_z" else 1), fam
     assert sum(len(v) for _, v in seeds) <= 862
     assert sum(len(set(v)) for _, v in seeds) == 854
+
+
+def _counted(monkeypatch, owner, name, calls):
+    """Rebind owner.name to a wrapper that appends each call's arguments."""
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or fn(*a))
+
+
+def test_a_search_edge_is_one_act(monkeypatch):
+    """On free knots with spheres, a search applies each edge with one act,
+    the inverse generator built with the generator, and never calls
+    act_inverse; replay still applies a -1 step through act_inverse."""
+    rng = random.Random(2727)
+    acts, inverses, yielded = [], [], []
+    _counted(monkeypatch, I, "act", acts)
+    _counted(monkeypatch, I, "act_inverse", inverses)
+    neighbors = I._OrbitSearch._neighbors
+
+    def counting_neighbors(self, y):
+        for edge in neighbors(self, y):
+            yielded.append(edge)
+            yield edge
+    monkeypatch.setattr(I._OrbitSearch, "_neighbors", counting_neighbors)
+    certs, edges = [], 0
+    for _ in range(4):
+        phi = _random_presentation(rng, FREE2, "spheres")
+        search = I._OrbitSearch(phi, I.Bounds(depth=3))
+        for _ in range(3):
+            y1, y2 = _random_pair(rng, phi)
+            for calls in (acts, inverses, yielded):
+                calls.clear()
+            if (cert := search.run(y1, y2)) is not None:
+                certs.append((cert, y1, y2))
+            assert len(acts) == len(yielded) and not inverses
+            edges += len(yielded)
+    assert edges
+    inverses.clear()
+    backward = [c for c in certs if any(e == -1 for _, e in c[0].steps)]
+    assert backward
+    for cert, y1, y2 in backward:
+        assert I.replay(cert, y1, y2)
+    assert inverses
+
+
+def test_a_knot_turn_pushes_one_difference(monkeypatch):
+    """With its relations built, a knot turn's hit pushes y1 - y2 once per
+    query; a link turn pushes y1 once and y2 once per shift it tries."""
+    rng = random.Random(2828)
+    pushes, hits = [], []
+    _counted(monkeypatch, SEP.PushedContext, "push", pushes)
+    hit = I._Turn.hit
+
+    def counting_hit(self, *args):
+        before = len(pushes)
+        out = hit(self, *args)
+        tried = len(self.shifts) if out is None else self.shifts.index(out[0]) + 1
+        hits.append((I._shifts_keys(self.phi), len(pushes) - before, tried))
+        return out
+    monkeypatch.setattr(I._Turn, "hit", counting_hit)
+    for kind in ("spheres", "link"):
+        for _ in range(4):
+            phi = _random_presentation(rng, FREE2, kind)
+            for turn in phi._turns:
+                assert turn.lattice is not None
+            for _ in range(3):
+                I.decide_equal(*_random_pair(rng, phi), phi, I.Bounds(depth=1))
+    assert {link for link, _, _ in hits} == {False, True}
+    for link, pushed, tried in hits:
+        assert pushed == (1 + tried if link else 1)
