@@ -212,13 +212,8 @@ class GroupElement(value_type("GroupElement", "spec syllables")):
         """The word spelled as shortlex codes, one per letter."""
         return _codes(self.syllables)
 
-    @cached_property
-    def _length(self) -> int:
-        """The number of letters, counted once per element."""
-        return sum(abs(e) for _, e in self.syllables)
-
     def length(self) -> int:
-        return self._length
+        return sum(abs(e) for _, e in self.syllables)
 
 
 def make_element(spec: GroupSpec, sylls) -> GroupElement:

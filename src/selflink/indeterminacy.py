@@ -360,7 +360,7 @@ class _Turn:
     """One separator's turn of the lattice stage on a presentation: its
     pushed context, whether it decides exactly, its offsets and outer
     shifts, the orbit relations, their Lattice and certificate steps, each
-    built on first use.  A query pushes only its own two values."""
+    built on first use.  A query pushes only its own values."""
 
     def __init__(self, phi: PhiGroup, sep: S.Separator):
         self.phi, self.sep, self._steps = phi, sep, {}
@@ -409,17 +409,17 @@ class _Turn:
     def lattice(self) -> S.Lattice:
         return S.Lattice([r for r, _, _ in self.relations])
 
-    def hit(self, y1, y2, diff=None):
+    def hit(self, y1, y2):
         """(shift, coefficients) for the first outer shift of y2 whose
         difference from y1 is in the orbit lattice, or None.  Push is
-        linear: a knot's one shift pushes diff = y1 - y2 once, a link's
-        y1 once and y2 once per shift."""
+        linear: a knot's one shift pushes y1 - y2 once, a link's y1 once
+        and y2 once per shift."""
         o = self.offsets[0]
         if _shifts_keys(self.phi):
             v1, move2 = self._mover(y1.terms)(o), self._mover(y2.terms)
             vectors = (_difference(v1, move2(t)) for t in self.shifts)
         else:
-            vectors = [self._mover((y1 - y2 if diff is None else diff).terms)(o)]
+            vectors = [self._mover((y1 - y2).terms)(o)]
         for t, v in zip(self.shifts, vectors):
             coeffs = S.lattice_member(self.lattice, v)
             if coeffs is not None:
@@ -466,11 +466,10 @@ def _lattice_stage(y1, y2, phi, max_states) -> DecisionResult | None:
     turn with more than max_states key classes abstains before it lists
     them."""
     enumerates = _enumerates(phi)
-    diff = None if _shifts_keys(phi) else y1 - y2
     for turn in phi._turns:
         if enumerates and turn.pc.classes > max_states:
             continue
-        hit = turn.hit(y1, y2, diff)
+        hit = turn.hit(y1, y2)
         if turn.exact and hit is not None:
             return DecisionResult("equal", certificate=turn.certificate(hit))
         if turn.exact:
@@ -581,20 +580,25 @@ class _OrbitSearch:
                       for t in _ball(spec, G.all_generators(spec), 2, cap=60)
                       for sph, right in phi.sided_spheres
                       if (z := _sphere_element(ctx, t, sph.points, right)))
-        self.static = _by_action(translates, _conjugated_toroidal(phi, conj_ball, gen_cap))
-        self.edges = {a: (g, g.inverse()) for a, g in self.static.items()}
+        self.edges = {a: (g, g.inverse()) for a, g in _by_action(
+            translates, _conjugated_toroidal(phi, conj_ball, gen_cap)).items()}
         self.inverts = ctx.inverts
         self.goals = {}
+
+    @property
+    def static(self) -> dict:
+        """The static generators by action."""
+        return {a: g for a, (g, _) in self.edges.items()}
 
     def _goal_translates(self, key: G.GroupElement) -> list:
         """The non-zero sphere translates aligned with one class key: for u
         the key (and its inverse in a one-sided ring), each sphere and each
         point p, the translate t = u p^-1 (p^-1 u on the right), kept if it
-        has at most support_len letters; memoized per key with each
-        translate's edge, the memo cleared past max_states keys."""
-        memo = self.goals.get(key)
-        if memo is not None:
-            return memo[0]
+        has at most support_len letters; memoized per key, the memo cleared
+        past max_states keys."""
+        out = self.goals.get(key)
+        if out is not None:
+            return out
         if len(self.goals) > self.bounds.max_states:
             self.goals.clear()
         out = []
@@ -605,7 +609,7 @@ class _OrbitSearch:
                     if t.length() <= self.bounds.support_len and (
                             z := _sphere_element(self.ctx, t, sph.points, right)):
                         out.append(_translate_gen(self.phi, z, sph, t))
-        self.goals[key] = out, [(g, g.inverse()) for g in out]
+        self.goals[key] = out
         return out
 
     def _admissible(self, y: R.RingElement, term_cap: int) -> bool:
@@ -615,12 +619,12 @@ class _OrbitSearch:
     def _neighbors(self, y: R.RingElement):
         """Each action on y and its inverse, the static generators first,
         then the translates aligned with the support of y: one act per
-        edge, each generator's inverse built once with it."""
+        edge.  A static generator's inverse is built once with it; a
+        translate is pure, (z, 1), so its inverse (-z, 1) is one negation."""
         edges = dict(self.edges)
-        for key in y.support():
-            self._goal_translates(key)
-            for gen, inv in self.goals[key][1]:
-                edges.setdefault((gen.z, gen.parts), (gen, inv))
+        for gen in itertools.chain.from_iterable(map(self._goal_translates, y.support())):
+            if (a := (gen.z, gen.parts)) not in edges:
+                edges[a] = gen, gen.inverse()
         for gen, inv in edges.values():
             yield gen, 1, act(gen, y)
             yield gen, -1, act(inv, y)

@@ -1312,9 +1312,9 @@ def _counted(monkeypatch, owner, name, calls):
 
 
 def test_a_search_edge_is_one_act(monkeypatch):
-    """On free knots with spheres, a search applies each edge with one act,
-    the inverse generator built with the generator, and never calls
-    act_inverse; replay still applies a -1 step through act_inverse."""
+    """On free knots with spheres, a search applies each edge with one act
+    and never calls act_inverse; replay still applies a -1 step through
+    act_inverse."""
     rng = random.Random(2727)
     acts, inverses, yielded = [], [], []
     _counted(monkeypatch, I, "act", acts)
