@@ -274,17 +274,15 @@ def _central_orbit_min(spec, t, k, candidates):
     of index t (of free x Z, or of a rank-1 free abelian group, where u = 1):
     u t^c' with c' = c mod k of least absolute value, the positive one on a
     tie."""
-    best = None
+    reps = []
     for cand in candidates:
         sylls = cand.syllables
         c = sylls[-1][1] if sylls and sylls[-1][0] == t else 0
         free_part = sylls[:-1] if c else sylls
         r = c % k
         c = r if 2 * r <= k else r - k
-        rep = G.GroupElement(spec, free_part + (((t, c),) if c else ()))
-        if best is None or G.shortlex_key(rep) < G.shortlex_key(best):
-            best = rep
-    return best
+        reps.append(G.GroupElement(spec, free_part + (((t, c),) if c else ())))
+    return G.shortlex_min(reps)
 
 
 def _free_windows(a, b):
@@ -355,14 +353,9 @@ def _conjugacy_min(spec, candidates):
     core's letters begins with its least letter, at the first letter of a
     maximal run of it, and such a run begins a syllable; so one rotation
     per syllable, not per letter, reaches it."""
-    best = None
-    for cand in candidates:
-        s = G.cyclic_core(cand).syllables
-        for r in range(len(s)):
-            rot = G.make_element(spec, s[r:] + s[:r])
-            if best is None or G.shortlex_key(rot) < G.shortlex_key(best):
-                best = rot
-    return best
+    cores = (G.cyclic_core(cand).syllables for cand in candidates)
+    return G.shortlex_min(G.make_element(spec, s[r:] + s[:r])
+                          for s in cores for r in range(len(s)))
 
 
 def canonicalize(ctx: RingContext, g: G.GroupElement) -> G.GroupElement | None:

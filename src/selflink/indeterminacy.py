@@ -190,7 +190,10 @@ def act(gen: PhiGen, y: R.RingElement) -> R.RingElement:
 
 
 def act_inverse(gen: PhiGen, y: R.RingElement) -> R.RingElement:
-    """The inverse action: y -> parts^-1.(y - z)."""
+    """The inverse action: y -> parts^-1.(y - z).  It keeps its own
+    formula rather than act(gen.inverse(), y): replay applies a -1 step
+    here, while the search's inverse edges come from PhiGen.inverse, so a
+    fault in PhiGen.inverse cannot replay."""
     _check_context(gen, y)
     return _outer(tuple(G.invert(p) for p in gen.parts), R.add(y, R.negate(gen.z)))
 
@@ -534,19 +537,21 @@ def _conjugators(phi, radius, cap) -> list:
 
 
 def _by_action(gens, base=None, cap=None) -> dict:
-    """The first generator per action (z, parts), after those of base, in
-    order; at most cap actions."""
+    """The search edges: action (z, parts) -> (gen, gen^-1) for the first
+    generator per action, after those of base, in order, its inverse built
+    only once the action is kept; at most cap actions."""
     out = dict(base or {})
     for gen in gens:
-        out.setdefault((gen.z, gen.parts), gen)
+        if (a := (gen.z, gen.parts)) not in out:
+            out[a] = gen, gen.inverse()
         if len(out) == cap:
             break
     return out
 
 
 def _conjugated_toroidal(phi, ball, gen_cap) -> dict:
-    """Toroidal generators conjugated by outer conjugators c, (c.z, c.parts),
-    by action."""
+    """The edges of the toroidal generators conjugated by outer conjugators
+    c, (c.z, c.parts), by action."""
     return _by_action((PhiGen(_outer(c, g.z), tuple(G.conjugate(p, a) for p, a in zip(g.parts, c)),
                               f"conj[{g.provenance},{','.join(G.format_word(a) for a in c)}]")
                        for c in _conjugators(phi, *ball) for g in phi.toroidal), cap=gen_cap)
@@ -580,15 +585,9 @@ class _OrbitSearch:
                       for t in _ball(spec, G.all_generators(spec), 2, cap=60)
                       for sph, right in phi.sided_spheres
                       if (z := _sphere_element(ctx, t, sph.points, right)))
-        self.edges = {a: (g, g.inverse()) for a, g in _by_action(
-            translates, _conjugated_toroidal(phi, conj_ball, gen_cap)).items()}
+        self.edges = _by_action(translates, _conjugated_toroidal(phi, conj_ball, gen_cap))
         self.inverts = ctx.inverts
         self.goals = {}
-
-    @property
-    def static(self) -> dict:
-        """The static generators by action."""
-        return {a: g for a, (g, _) in self.edges.items()}
 
     def _goal_translates(self, key: G.GroupElement) -> list:
         """The non-zero sphere translates aligned with one class key: for u
@@ -619,13 +618,11 @@ class _OrbitSearch:
     def _neighbors(self, y: R.RingElement):
         """Each action on y and its inverse, the static generators first,
         then the translates aligned with the support of y: one act per
-        edge.  A static generator's inverse is built once with it; a
-        translate is pure, (z, 1), so its inverse (-z, 1) is one negation."""
-        edges = dict(self.edges)
-        for gen in itertools.chain.from_iterable(map(self._goal_translates, y.support())):
-            if (a := (gen.z, gen.parts)) not in edges:
-                edges[a] = gen, gen.inverse()
-        for gen, inv in edges.values():
+        edge.  A static generator's inverse is built once with it, a
+        translate's only for an action not in edges; a translate is pure,
+        (z, 1), so its inverse (-z, 1) is one negation."""
+        goals = itertools.chain.from_iterable(map(self._goal_translates, y.support()))
+        for gen, inv in _by_action(goals, self.edges).values():
             yield gen, 1, act(gen, y)
             yield gen, -1, act(inv, y)
 
@@ -648,18 +645,14 @@ class _OrbitSearch:
             fwd, bwd = len(frontier[1]), len(frontier[-1])
             d = 1 if fwd and (not bwd or fwd <= bwd) else -1
             src, nxt = reached[d], []
-            for state in frontier[d]:
-                for gen, e, ns in self._neighbors(state):
-                    if ns in src or not self._admissible(ns, term_cap):
-                        continue
-                    # a backward edge ns -> state applies gen with direction -e
-                    src[ns] = (state, gen, d * e)
-                    nxt.append(ns)
-                    if ns in reached[-d]:
-                        m = ns
-                        break
-                    if len(src) > b.max_states:
-                        break
+            for state, (gen, e, ns) in ((s, edge) for s in frontier[d]
+                                        for edge in self._neighbors(s)):
+                if ns in src or not self._admissible(ns, term_cap):
+                    continue
+                # a backward edge ns -> state applies gen with direction -e
+                src[ns] = (state, gen, d * e)
+                nxt.append(ns)
+                m = ns if ns in reached[-d] else None
                 if m is not None or len(src) > b.max_states:
                     break
             frontier[d] = nxt if len(src) <= b.max_states else []

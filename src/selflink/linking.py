@@ -153,12 +153,8 @@ def translate_points(g: G.GroupElement, points) -> tuple[Point, ...]:
 
 def lambda_sphere_combo(coeffs, k: Knot) -> R.RingElement:
     """Pairing of an integer combination sum g_i . sigma_i against k."""
-    ctx = sphere_pairing_context(k)
-    out = R.zero(ctx)
-    for g, sigma in coeffs:
-        pts = translate_points(g, sigma.points)
-        out = R.add(out, R.from_terms(ctx, [(p, s) for s, p in pts]))
-    return out
+    return R.from_terms(sphere_pairing_context(k), [
+        (p, s) for g, sigma in coeffs for s, p in translate_points(g, sigma.points)])
 
 
 def sphere_for_unlink_complement(gamma: G.GroupElement) -> SphereData:

@@ -15,7 +15,7 @@ import selflink.indeterminacy as I
 import selflink.linking as L
 import selflink.scenario as SC
 import selflink.separators as SEP
-from conftest import AB1, AB2, FREE2, FXZ, PROD, PROD_FXZ, random_word
+from conftest import AB1, AB2, FREE2, FXZ, PROD, PROD_FXZ, random_ring_element, random_word
 
 sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "bench"))
 
@@ -310,6 +310,33 @@ def test_act_link_round_trip():
         assert I.act_inverse(g, I.act(g, y)) == y
         assert I.act(g, I.act_inverse(g, y)) == y
         assert I.act(g.inverse(), y) == I.act_inverse(g, y)
+
+
+@pytest.mark.parametrize("spec", [FREE2, FXZ, PROD], ids=["free2", "free_times_z", "product"])
+@pytest.mark.parametrize("kind", ["knot", "link"])
+def test_act_inverse_agrees_with_the_inverse_generator(spec, kind):
+    """For toroidal generators, plain and conjugated, whose parts move
+    their non-zero z, the two inverse formulas that replay keeps apart
+    agree with each other and with parts^-1.(y - z) computed here:
+    act_inverse(g, y), act(g.inverse(), y) and biact(p^-1, q^-1, y - z),
+    p and q the first and last part."""
+    rng = random.Random(2929)
+    checked = 0
+    while checked < 160:
+        phi = _random_presentation(rng, spec, kind)
+        ball, cap, _ = I._SIZES[len(phi.zetas)]
+        conjugated = [g for g, _ in I._conjugated_toroidal(phi, ball, cap).values()]
+        gens = [g for g in list(phi.toroidal) + conjugated
+                if g.z and I._outer(g.parts, g.z) != g.z]
+        for _ in range(40 if gens else 0):
+            g = rng.choice(gens)
+            y = random_ring_element(rng, phi.context, 3, 3)
+            p, q = g.parts[0], g.parts[-1]
+            want = R.biact(S.invert(p), S.invert(q), R.add(y, R.negate(g.z)))
+            assert I.act_inverse(g, y) == want
+            assert I.act(g.inverse(), y) == want
+            assert I.act_inverse(g, I.act(g, y)) == y
+            checked += 1
 
 
 # ---------------------------------------------------------------------------
@@ -874,12 +901,12 @@ def test_conjugated_toroidal_generators_stop_at_the_cap():
     phi = I.build_phi_link(k1, k2, t1, t2)
     ball, cap, _ = I._SIZES[2]
     assert len(I._conjugators(phi, *ball)) * len(phi.toroidal) == 145
-    every = list(I._conjugated_toroidal(phi, ball, None).values())
+    every = [g for g, _ in I._conjugated_toroidal(phi, ball, None).values()]
     assert len(every) > cap == 60
     bounds = I.Bounds(depth=2)
     search = I._OrbitSearch(phi, bounds)
     phi._searches[bounds] = search
-    assert [g for g in search.static.values() if g.provenance.startswith("conj[")] == every[:cap]
+    assert [g for g, _ in search.edges.values() if g.provenance.startswith("conj[")] == every[:cap]
     pairs = [_random_pair(rng, phi) for _ in range(6)]
     verdicts = _check_contract([(y1, y2, I.decide_equal(y1, y2, phi, bounds))
                                 for y1, y2 in pairs], bounds)
@@ -1372,3 +1399,43 @@ def test_a_knot_turn_pushes_one_difference(monkeypatch):
     assert {link for link, _, _ in hits} == {False, True}
     for link, pushed, tried in hits:
         assert pushed == (1 + tried if link else 1)
+
+
+@pytest.mark.parametrize("spec", [FREE2, FXZ], ids=["free", "fxz"])
+def test_search_edges_are_one_pair_per_action(spec, monkeypatch):
+    """On seeded knots and links with spheres, every search edge is
+    (g, g.inverse()) under g's own action, and _neighbors yields the
+    static actions first, in edges order, then each new goal action, each
+    as +1 then -1; one _neighbors call builds an inverse only for each
+    goal action that is not in edges."""
+    rng = random.Random(3030)
+    inverses, inverse = [], I.PhiGen.inverse
+    monkeypatch.setattr(I.PhiGen, "inverse", lambda g: inverses.append(g) or inverse(g))
+    new = 0
+    for kind in ("spheres", "link"):
+        for _ in range(3):
+            phi = _random_presentation(rng, spec, kind)
+            search = I._OrbitSearch(phi, I.Bounds(depth=2))
+            assert search.edges
+            for a, (g, inv) in search.edges.items():
+                assert a == (g.z, g.parts) and inv == inverse(g)
+            for _ in range(3):
+                for y in _random_pair(rng, phi):
+                    inverses.clear()
+                    got = list(search._neighbors(y))
+                    built = len(inverses)
+                    goals = {}
+                    for g in itertools.chain.from_iterable(map(search._goal_translates,
+                                                               y.support())):
+                        if (g.z, g.parts) not in search.edges:
+                            goals.setdefault((g.z, g.parts), g)
+                    want = [g for g, _ in search.edges.values()] + list(goals.values())
+                    assert [(gen, e) for gen, e, _ in got] == [(g, e) for g in want
+                                                               for e in (1, -1)]
+                    assert all(gen is g for (gen, _, _), g in zip(got[::2], want))
+                    assert [ns for _, _, ns in got] == [
+                        I.act(g, y) if e == 1 else I.act_inverse(g, y)
+                        for g in want for e in (1, -1)]
+                    assert built == len(goals)
+                    new += built
+    assert new
